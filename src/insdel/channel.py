@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .codes import Seed, philox_generator
+from .codes import Seed, check_seed, philox_generator
 from .core import DomainError, ScriptError, Word
 
 DELETE = "del"
@@ -127,6 +127,7 @@ def adversarial_block_channel(
     concatenation of the block scripts with positions shifted into
     whole-word coordinates, in left-to-right application order.
     """
+    check_seed(seed)
     if block_len < 1:
         raise DomainError("block length must be at least 1")
     if len(c) != block_len * len(budgets):

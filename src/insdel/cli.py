@@ -7,7 +7,7 @@ header ``x,rate_raw,rate_clamped,list_size_class,flag``.  Everything is
 deterministic: randomized subcommands demand an explicit --seed, and
 identical invocations produce byte-identical output.
 
-Exit codes: 0 success, 2 usage error, 3 domain error, 4 capacity error.
+Exit codes: 0 success, 2 usage or file error, 3 domain error, 4 capacity error.
 """
 
 from __future__ import annotations
@@ -254,15 +254,30 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_code(path: str) -> Code:
+def _load_json_object(path: str) -> dict:
+    """Read a JSON object; OSError (exit 2) if unreadable, DomainError if not an object."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise DomainError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise DomainError(f"{path} holds JSON {type(data).__name__}, not an object")
+    return data
+
+
+def _load_code(path: str) -> Code:
+    data = _load_json_object(path)
     try:
         q = int(data["q"])
         n = int(data["n"])
         words = frozenset(parse_word(s, q) for s in data["words"])
+    except InsdelError:
+        raise
     except KeyError as exc:
         raise DomainError(f"code file is missing field {exc.args[0]!r}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise DomainError(f"code file has a malformed field: {exc}") from exc
     return Code(q=q, n=n, words=words)
 
 
@@ -298,9 +313,8 @@ def cmd_channel(args: argparse.Namespace) -> int:
     if args.budgets is not None:
         if args.block_len is None:
             raise DomainError("--budgets needs --block-len")
-        budgets = [int(part) for part in args.budgets.split(",")]
-        result, script = adversarial_block_channel(w, args.block_len, budgets, args.seed)
-        bound = sum(budgets)
+        result, script = adversarial_block_channel(w, args.block_len, args.budgets, args.seed)
+        bound = sum(args.budgets)
     else:
         result, script = random_channel(w, args.insertions, args.deletions, args.seed)
         bound = args.insertions + args.deletions
@@ -320,8 +334,15 @@ def cmd_channel(args: argparse.Namespace) -> int:
 
 
 def _load_params(path: str) -> ConcatParams:
-    with open(path, encoding="utf-8") as fh:
-        return params_from_json_dict(json.load(fh))
+    return params_from_json_dict(_load_json_object(path))
+
+
+def _int_list(text: str) -> list[int]:
+    """argparse type for a comma-separated integer list."""
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from exc
 
 
 def _parse_symbols(text: str) -> list[int]:
@@ -510,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--del", dest="deletions", type=int, default=0)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--block-len", dest="block_len", type=int)
-    p.add_argument("--budgets", help="comma-separated per-block budgets")
+    p.add_argument("--budgets", type=_int_list, help="comma-separated per-block budgets")
     p.set_defaults(func=cmd_channel)
 
     p = sub.add_parser("concat-encode", help="encode a message with a concat code")
@@ -540,6 +561,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -68,14 +68,19 @@ class CodeStats:
     relative_distance: float
 
 
+def check_seed(seed: Seed) -> None:
+    """Raise DomainError unless 0 <= seed < 2**128; every seeded stream checks here."""
+    if not 0 <= seed < 2 ** 128:
+        raise DomainError("seed must be a nonnegative integer below 2**128")
+
+
 def philox_generator(seed: Seed) -> np.random.Generator:
     """numpy Generator over the Philox4x64 counter-based bit stream.
 
     The seed is used directly as the Philox key, so equal seeds give
     equal streams regardless of what was sampled before.
     """
-    if not 0 <= seed < 2 ** 128:
-        raise DomainError("seed must be a nonnegative integer below 2**128")
+    check_seed(seed)
     return np.random.Generator(np.random.Philox(key=seed))
 
 

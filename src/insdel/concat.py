@@ -24,7 +24,8 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .codes import Code, Seed, sample_word_sequence
-from .core import DomainError, RegimeWarning, Word, insdel_distance
+from .core import BoundViolationError, DomainError, InsdelError, RegimeWarning, Word
+from .core import _lcs_bits, insdel_distance
 from .decode import RSCode, brute_force_list_recover, rs_encode
 
 FractionLike = Fraction | int | float | str
@@ -333,7 +334,8 @@ def build_windows(params: ConcatParams, M: int) -> set[Window]:
         width = ((1 + params.tau) * params.N - max(Fraction(0), 1 - params.tau_star))
         lengths = min(2 * params.tau_star, 1 + params.tau_star)
         cap = (width / tau_hat + 2) * (lengths / tau_hat + 2)
-        assert len(out) <= cap, "window census exceeded its linear-size cap"
+        if len(out) > cap:
+            raise BoundViolationError("window census exceeded its linear-size cap")
     return out
 
 
@@ -398,26 +400,9 @@ def feasible_jN(i: int, lam: int, mu: int, params: ConcatParams, M: int) -> set[
         for j_N in range(first, last + 1)
         if 1 <= 1 + i + j_N * params.eps_cont_N <= N
     }
-    assert len(out) <= params.tau / params.eps_cont + 1, (
-        "feasible position count exceeded tau/eps_cont + 1"
-    )
+    if len(out) > params.tau / params.eps_cont + 1:
+        raise BoundViolationError("feasible position count exceeded tau/eps_cont + 1")
     return out
-
-
-def _lcs_prefix_row(word: tuple[int, ...], content: tuple[int, ...]) -> list[int]:
-    """row[j] = length of the longest common subsequence of word and content[:j]."""
-    cols = len(content)
-    row = [0] * (cols + 1)
-    for sym in word:
-        prev_diag = 0
-        for j in range(1, cols + 1):
-            prev_row = row[j]
-            if content[j - 1] == sym:
-                row[j] = prev_diag + 1
-            elif row[j - 1] > row[j]:
-                row[j] = row[j - 1]
-            prev_diag = prev_row
-    return row
 
 
 def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeReport:
@@ -457,10 +442,11 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
         content = r_syms[phi : phi + longest]
         hits_per_window = {win: 0 for win in group}
         for index, sym, codeword in domain:
-            row = _lcs_prefix_row(codeword.symbols, content)
+            bits = _lcs_bits(codeword.symbols, content)
             for win in group:
                 length = win.lambda_len
-                if n + length - 2 * row[length] > tau_in_n:
+                lcs = length - (bits & ((1 << length) - 1)).bit_count()
+                if n + length - 2 * lcs > tau_in_n:
                     continue
                 hits_per_window[win] += 1
                 key = (index - 1, win.lam, win.mu)
@@ -476,7 +462,8 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
 
     mass = sum(len(entries) for entries in lists)
     cap = len(windows) * max_inner_list * (params.tau / params.eps_cont + 1)
-    assert mass <= cap, "position-list mass exceeded the window-count bound"
+    if mass > cap:
+        raise BoundViolationError("position-list mass exceeded the window-count bound")
     frozen = tuple(frozenset(entries) for entries in lists)
     outer_hits = brute_force_list_recover(
         params.outer, frozen, float(params.alpha_out), ell=params.ell_out
@@ -595,5 +582,9 @@ def params_from_json_dict(data: dict) -> ConcatParams:
             inner_seed=int(data["inner_seed"]),
             points=data.get("points"),
         )
+    except InsdelError:
+        raise
     except KeyError as exc:
         raise DomainError(f"parameter record is missing field {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"parameter record has a malformed field: {exc}") from exc

@@ -41,6 +41,10 @@ class CapacityError(InsdelError):
     """An exhaustive operation would exceed its documented size limit."""
 
 
+class BoundViolationError(InsdelError):
+    """A proven runtime bound was exceeded; this signals a bug, not bad input."""
+
+
 class ScriptError(DomainError):
     """An edit script does not apply to the word it was given."""
 
@@ -134,20 +138,22 @@ def _require_same_alphabet(a: Word, b: Word) -> None:
         raise AlphabetMismatchError(f"alphabet sizes differ: {a.q} vs {b.q}")
 
 
-def _lcs_length(xs: tuple[int, ...], ys: tuple[int, ...]) -> int:
-    # Two-row dynamic program, O(len(xs) * len(ys)) time, O(min) space.
-    if len(xs) < len(ys):
-        xs, ys = ys, xs
-    if not ys:
-        return 0
-    row = [0] * (len(ys) + 1)
+def _lcs_bits(xs: tuple[int, ...], ys: tuple[int, ...]) -> int:
+    """Bit-parallel LCS of xs against every prefix of ys (Allison-Dix, Hyyrö).
+
+    Returns the bit vector V over ys, one big-int addition per symbol of
+    xs.  Bit j of V is clear iff ys[j] raises the LCS over ys[:j], so
+    LCS(xs, ys[:j]) = j - (V & (2**j - 1)).bit_count() for every j.
+    """
+    match: dict[int, int] = {}
+    for j, y in enumerate(ys):
+        match[y] = match.get(y, 0) | 1 << j
+    mask = (1 << len(ys)) - 1
+    v = mask
     for x in xs:
-        diag = 0
-        for j, y in enumerate(ys, start=1):
-            above = row[j]
-            row[j] = diag + 1 if x == y else max(above, row[j - 1])
-            diag = above
-    return row[-1]
+        u = v & match.get(x, 0)
+        v = ((v + u) | (v - u)) & mask
+    return v
 
 
 def lcs_length(a: Word, b: Word) -> int:
@@ -157,7 +163,9 @@ def lcs_length(a: Word, b: Word) -> int:
     LCS of 0 with everything.
     """
     _require_same_alphabet(a, b)
-    return _lcs_length(a.symbols, b.symbols)
+    # The kernel loops over its first argument, so hand it the shorter word.
+    xs, ys = (a.symbols, b.symbols) if len(a) <= len(b) else (b.symbols, a.symbols)
+    return len(ys) - _lcs_bits(xs, ys).bit_count()
 
 
 def insdel_distance(a: Word, b: Word) -> int:
@@ -167,8 +175,7 @@ def insdel_distance(a: Word, b: Word) -> int:
     for words of equal length it is always even, and in general it is
     bounded between ``abs(len(a) - len(b))`` and ``len(a) + len(b)``.
     """
-    _require_same_alphabet(a, b)
-    return len(a) + len(b) - 2 * _lcs_length(a.symbols, b.symbols)
+    return len(a) + len(b) - 2 * lcs_length(a, b)
 
 
 def count_runs(w: Word) -> int:

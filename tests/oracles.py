@@ -76,7 +76,7 @@ HOST_N3 = dict(
 
 
 def lcs_ref(xs, ys) -> int:
-    """Full-matrix LCS table; the production code uses two rolling rows."""
+    """Full-matrix LCS table; the production code uses a bit-parallel kernel."""
     rows, cols = len(xs), len(ys)
     table = [[0] * (cols + 1) for _ in range(rows + 1)]
     for i in range(1, rows + 1):

@@ -143,3 +143,6 @@ def test_block_channel_validation():
         adversarial_block_channel(c, 2, [1, 5], seed=1)
     with pytest.raises(DomainError):
         adversarial_block_channel(c, 2, [-1, 0], seed=1)
+    for seed in (-1, 2 ** 128):
+        with pytest.raises(DomainError):
+            adversarial_block_channel(c, 2, [1, 1], seed=seed)

@@ -290,6 +290,43 @@ def test_usage_errors_exit_2():
     assert run_cli("sphere", "-q", "2", "--center", "00", "--radius", "1", "--kind", "bogus").returncode == 2
 
 
+CERTIFY = ("certify", "--code-file", "{file}", "--tau-n", "1", "-L", "2")
+BLOCK_CHANNEL = ("channel", "-q", "2", "--word", "0110", "--block-len", "2", "--seed")
+
+
+@pytest.mark.parametrize(
+    "argv, content, code",
+    [
+        pytest.param(CERTIFY, None, 2, id="certify-missing-file"),
+        pytest.param(CERTIFY, "{not json", 3, id="certify-malformed-json"),
+        pytest.param(CERTIFY, "[1, 2]", 3, id="certify-json-list"),
+        pytest.param(CERTIFY, '{"q": "two", "n": 2, "words": []}', 3, id="certify-bad-field"),
+        pytest.param(
+            ("concat-decode", "--params", "{file}", "--word", "01"), None, 2,
+            id="concat-decode-missing-file",
+        ),
+        pytest.param(
+            ("concat-roundtrip", "--params", "{file}", "--seed", "1", "--budget", "0"), "{", 3,
+            id="concat-roundtrip-malformed-json",
+        ),
+        pytest.param(
+            ("concat-encode", "--params", "{file}", "--message", "1"), '"params"', 3,
+            id="concat-encode-json-string",
+        ),
+        pytest.param((*BLOCK_CHANNEL, "-1", "--budgets", "1,1"), None, 3, id="channel-negative-seed"),
+        pytest.param((*BLOCK_CHANNEL, "1", "--budgets", "1,x"), None, 2, id="channel-bad-budget"),
+    ],
+)
+def test_bad_files_and_arguments_exit_without_traceback(tmp_path, argv, content, code):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    result = run_cli(*(str(path) if arg == "{file}" else arg for arg in argv))
+    assert result.returncode == code
+    assert "error:" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_seeded_subcommands_are_byte_identical():
     for argv in (
         ("sample", "-q", "2", "-n", "8", "-M", "16", "--seed", "42", "--digest"),

@@ -302,6 +302,9 @@ def test_params_json_roundtrip(desk_params):
     record.pop("tau_in")
     with pytest.raises(DomainError):
         params_from_json_dict(record)
+    record = params_to_json_dict(desk_params) | {"N": "eight"}
+    with pytest.raises(DomainError, match="malformed field"):
+        params_from_json_dict(record)
 
 
 def test_params_json_needs_sampled_inner(desk_params):

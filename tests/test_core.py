@@ -11,6 +11,7 @@ from insdel.core import (
     DomainError,
     RunProfile,
     Word,
+    _lcs_bits,
     count_runs,
     format_word,
     hamming_weight,
@@ -43,6 +44,16 @@ def pairs_strategy(max_q=5, max_len=12):
     )
 
 
+def sized_pairs_strategy(max_q=5, max_len=100):
+    """Pairs whose lengths are drawn first, so long words are as likely as short."""
+    def sized_word(q):
+        return st.integers(0, max_len).flatmap(
+            lambda n: st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+        ).map(lambda syms: word(syms, q))
+
+    return st.integers(2, max_q).flatmap(lambda q: st.tuples(sized_word(q), sized_word(q)))
+
+
 def test_lcs_known_values():
     assert lcs_length(word((0, 1, 1, 0), 2), word((0, 1, 0, 1), 2)) == 3
     x = word((0, 2, 1), 3)
@@ -57,10 +68,15 @@ def test_lcs_rejects_mixed_alphabets():
         insdel_distance(word((0,), 2), word((0,), 4))
 
 
-@given(pairs_strategy())
+@given(sized_pairs_strategy())
 def test_lcs_matches_full_matrix_reference(pair):
+    # Up to 100 symbols, so the kernel's carries cross big-int digits.
     a, b = pair
     assert lcs_length(a, b) == lcs_ref(a.symbols, b.symbols)
+    bits = _lcs_bits(a.symbols, b.symbols)
+    for j in range(len(b) + 1):
+        prefix_lcs = j - (bits & ((1 << j) - 1)).bit_count()
+        assert prefix_lcs == lcs_ref(a.symbols, b.symbols[:j])
 
 
 def test_distance_known_values():
