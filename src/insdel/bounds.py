@@ -15,8 +15,11 @@ Conventions shared by every rate function here:
 * epsilon is subtracted at the end of each formula, exactly as written,
   and never folded into entropy arguments.
 * Optimizers run a deterministic grid search (default 2048 points)
-  followed by bounded scalar refinement on the winning bracket, so
-  results are reproducible bit for bit.
+  followed by Brent's bounded method (golden-section search with
+  parabolic interpolation; Brent, *Algorithms for Minimization without
+  Derivatives*, 1973) on the winning bracket.  Everything is plain
+  float arithmetic in a fixed order, so results are reproducible bit
+  for bit.
 """
 
 from __future__ import annotations
@@ -28,9 +31,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-import numpy as np
-from scipy.optimize import minimize_scalar
-
 from .codes import Code
 from .core import DomainError, OutOfRegimeError, RegimeWarning, Word
 
@@ -38,6 +38,10 @@ _DEFAULT_GRID = 2048
 _TABLE_KNOTS = 1024
 _TABLE_SEGMENT_GRID = 256
 _EDGE = 1e-9
+_BRENT_XATOL = 1e-12
+_BRENT_MAXFUN = 500
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
 @dataclass(frozen=True)
@@ -125,7 +129,12 @@ def entropy_q(q: float, x: float) -> float:
         raise DomainError(f"entropy argument {x} outside [0,1]")
     if x == 0 or x == 1:
         return 0.0
-    return x * _logq(q - 1, q) - x * _logq(x, q) - (1 - x) * _logq(1 - x, q)
+    lq = math.log(q)
+    return (
+        x * (math.log(q - 1) / lq)
+        - x * (math.log(x) / lq)
+        - (1 - x) * (math.log(1 - x) / lq)
+    )
 
 
 def singleton_max_size(n: int, d: int, q: int) -> int:
@@ -266,18 +275,99 @@ def _segment_bounds(q: int, tau: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _refined_min(fun, grid_pts: np.ndarray, values: list[float]) -> tuple[float, float]:
-    """Best grid point improved by bounded scalar refinement on its bracket."""
-    best = int(np.argmin(values))
-    x_best, v_best = float(grid_pts[best]), values[best]
-    lo = float(grid_pts[max(0, best - 1)])
-    hi = float(grid_pts[min(len(grid_pts) - 1, best + 1)])
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """n evenly spaced points from lo to hi inclusive (numpy.linspace's formula)."""
+    if n < 2:
+        return [lo] * n
+    step = (hi - lo) / (n - 1)
+    return [lo + i * step for i in range(n - 1)] + [hi]
+
+
+def _sign(v: float) -> float:
+    # sign(v) + (v == 0): zero counts as positive.
+    return 1.0 if v >= 0 else -1.0
+
+
+def _bounded_min(fun, lo: float, hi: float) -> tuple[float, float]:
+    """Brent's bounded minimization of fun on [lo, hi]: (x, fun(x)).
+
+    A step-for-step port of the fminbound recurrence (Forsythe, Malcolm
+    and Moler, 1977) with xatol = 1e-12 and at most 500 evaluations:
+    golden-section steps, replaced by a parabolic step whenever the
+    parabola through the three best points so far lands well inside the
+    bracket.  The tests hold it to the reference implementation bit for
+    bit.
+    """
+    a, b = lo, hi
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = fun(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + _BRENT_XATOL / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _sign(xm - xf)
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN * e
+        x = xf + _sign(rat) * max(abs(rat), tol1)
+        fu = fun(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + _BRENT_XATOL / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _BRENT_MAXFUN:
+            break
+    return xf, fx
+
+
+def _refined_min(fun, grid_pts: list[float], values: list[float]) -> tuple[float, float]:
+    """Best grid point improved by Brent's bounded method on its bracket."""
+    best = values.index(min(values))
+    x_best, v_best = grid_pts[best], values[best]
+    lo = grid_pts[max(0, best - 1)]
+    hi = grid_pts[min(len(grid_pts) - 1, best + 1)]
     if hi > lo:
-        res = minimize_scalar(
-            fun, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12}
-        )
-        if res.fun < v_best:
-            x_best, v_best = float(res.x), float(res.fun)
+        x, v = _bounded_min(fun, lo, hi)
+        if v < v_best:
+            x_best, v_best = x, v
     return x_best, v_best
 
 
@@ -293,8 +383,8 @@ def _segment_min(
             return _rate_binary_raw(tau - kappa, kappa, epsilon)
         return _rate_q3_raw(q, tau - kappa, kappa, epsilon)
 
-    pts = np.linspace(lo, hi, grid)
-    values = [raw_at(float(k)) for k in pts]
+    pts = _linspace(lo, hi, grid)
+    values = [raw_at(k) for k in pts]
     k_best, v_best = _refined_min(raw_at, pts, values)
     return v_best, tau - k_best, k_best
 
@@ -482,8 +572,8 @@ def zyablov_tau(query: ZyablovQuery) -> ZyablovPoint:
             return 0.0
         return -(1 - r_out) * t_in
 
-    pts = np.linspace(R + _EDGE, 1 - _EDGE, grid)
-    values = [negated_objective(float(r)) for r in pts]
+    pts = _linspace(R + _EDGE, 1 - _EDGE, grid)
+    values = [negated_objective(r) for r in pts]
     if min(values) >= 0.0:
         raise DomainError(f"no feasible outer/inner split for rate {R} over q={q}")
     r_best, _ = _refined_min(negated_objective, pts, values)
@@ -513,10 +603,10 @@ def zyablov_gamma_kappa(
         _, g_in, k_in = _segment_min(q, t_in, 0.0, _TABLE_SEGMENT_GRID)
         return (1 - r_out) * g_in, (1 - r_out) * k_in
 
-    pts = np.linspace(R + _EDGE, 1 - _EDGE, query.grid)
+    pts = _linspace(R + _EDGE, 1 - _EDGE, query.grid)
     gamma_vals, kappa_vals = [], []
     for r in pts:
-        g, k = split_at(float(r))
+        g, k = split_at(r)
         gamma_vals.append(-g)
         kappa_vals.append(-k)
     _, neg_gamma = _refined_min(lambda r: -split_at(r)[0], pts, gamma_vals)

@@ -11,12 +11,13 @@ serializable without any global coordinate bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .codes import Seed, check_seed, philox_generator
 from .core import DomainError, ScriptError, Word
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DELETE = "del"
 INSERT = "ins"
@@ -127,6 +128,8 @@ def adversarial_block_channel(
     concatenation of the block scripts with positions shifted into
     whole-word coordinates, in left-to-right application order.
     """
+    import numpy as np
+
     check_seed(seed)
     if block_len < 1:
         raise DomainError("block length must be at least 1")

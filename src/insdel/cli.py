@@ -558,7 +558,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "curve" and args.kind == "zyablov" and not 0 < args.epsilon < 1:
+        parser.error(
+            f"argument --epsilon: --kind zyablov needs a value in (0, 1), got {args.epsilon}"
+        )
     try:
         return args.func(args)
     except OSError as exc:

@@ -3,6 +3,8 @@
 Random sampling is backed by the Philox counter-based generator from
 numpy so that a seed fully determines the sampled code, independent of
 platform and call history.  Tests pin content digests of sampled codes.
+numpy is imported only when a generator is built, so the rest of the
+package loads without it.
 """
 
 from __future__ import annotations
@@ -11,8 +13,7 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import (
     CapacityError,
@@ -22,6 +23,9 @@ from .core import (
     insdel_distance,
     iter_words,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Seed = int
 
@@ -80,6 +84,8 @@ def philox_generator(seed: Seed) -> np.random.Generator:
     The seed is used directly as the Philox key, so equal seeds give
     equal streams regardless of what was sampled before.
     """
+    import numpy as np
+
     check_seed(seed)
     return np.random.Generator(np.random.Philox(key=seed))
 

@@ -20,6 +20,7 @@ from .core import CapacityError, DomainError, Word, format_word, insdel_distance
 
 _CERTIFY_CENTER_LIMIT = 10 ** 7
 _RECOVER_SPAN_LIMIT = 10 ** 6
+_INT64_DRAW_LIMIT = 2 ** 63  # largest exclusive bound rng.integers takes
 
 PositionLists = Sequence[frozenset[int]]
 
@@ -73,6 +74,22 @@ def brute_force_list_decode(c: Code, r: Word, radius: int) -> DecodeResult:
 
 def _admissible_lengths(n: int, tau_n: int) -> range:
     return range(max(0, n - tau_n), n + tau_n + 1)
+
+
+def _draw_below(rng, total: int) -> int:
+    """Uniform integer in [0, total), exact for any positive total.
+
+    Totals within numpy's int64 range keep the ``rng.integers`` stream;
+    larger ones are drawn from whole random bytes with rejection.
+    """
+    if total <= _INT64_DRAW_LIMIT:
+        return int(rng.integers(0, total))
+    nbits = total.bit_length()
+    nbytes = (nbits + 7) // 8
+    while True:
+        ticket = int.from_bytes(rng.bytes(nbytes), "little") >> (8 * nbytes - nbits)
+        if ticket < total:
+            return ticket
 
 
 def certify_list_decodable(
@@ -129,7 +146,7 @@ def certify_list_decodable(
     weights = [q ** m for m in lengths]
     total = sum(weights)
     for _ in range(samples):
-        ticket = int(rng.integers(0, total))
+        ticket = _draw_below(rng, total)
         m = lengths[0]
         for length, weight in zip(lengths, weights):
             if ticket < weight:

@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from insdel import bounds
 from insdel.bounds import (
     ChannelSpec,
     RatePoint,
@@ -173,6 +174,46 @@ def test_tau_optimizer_matches_dense_grid_binary():
     oracle = segment_grid_min_binary(0.2, 0.001)
     assert point.raw <= oracle + 1e-9
     assert point.raw == pytest.approx(oracle, abs=1e-4)
+
+
+def _refined_brackets(monkeypatch, run) -> list:
+    """(fun, lo, hi, (x, fun(x))) for every bracket Brent's method refines in run()."""
+    calls = []
+    brent = bounds._bounded_min
+
+    def record(fun, lo, hi):
+        result = brent(fun, lo, hi)
+        calls.append((fun, lo, hi, result))
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bounds, "_bounded_min", record)
+        run()
+    return calls
+
+
+def test_bounded_min_matches_scipy_bit_for_bit(monkeypatch):
+    optimize = pytest.importorskip("scipy.optimize")
+    bounds._tau_rate_table(2)  # build the cached table outside the recording
+
+    def run():
+        for q in (2, 3, 4):
+            for tau in (0.05, 0.3, 0.6, 0.95):
+                bounds._segment_min(q, tau, 0.0, 256)
+        zyablov_tau(ZyablovQuery(q=2, R=0.3, epsilon=0.01, grid=256))
+
+    calls = _refined_brackets(monkeypatch, run)
+    # 12 segment brackets, the zyablov objective, then 60 bisection steps.
+    assert len(calls) == 73
+    assert calls[12][0].__name__ == "negated_objective"
+    for fun, lo, hi, (x, value) in calls:
+        res = optimize.minimize_scalar(
+            fun, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12}
+        )
+        assert (float(res.x), float(res.fun)) == (x, value)
+
+    # At tau = 0 the segment is the single point kappa = 0: nothing to refine.
+    assert _refined_brackets(monkeypatch, lambda: bounds._segment_min(2, 0.0, 0.0, 256)) == []
 
 
 def test_tau_rates_decrease_with_radius():

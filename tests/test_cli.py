@@ -327,6 +327,37 @@ def test_bad_files_and_arguments_exit_without_traceback(tmp_path, argv, content,
     assert "Traceback" not in result.stderr
 
 
+def test_zyablov_curve_rejects_epsilon_outside_unit_interval():
+    for eps in ("0", "1"):
+        result = run_cli(
+            "curve", "--kind", "zyablov", "--epsilon", eps, "--start", "0.1", "--stop", "0.2", "--steps", "2"
+        )
+        assert result.returncode == 2
+        assert "error:" in result.stderr and "--epsilon" in result.stderr
+        assert result.stdout == ""
+    # Other kinds keep accepting the default epsilon of 0.
+    assert main(["curve", "--kind", "gv", "--epsilon", "0", "--start", "0", "--stop", "0.1", "--steps", "2"]) == 0
+
+
+def test_sampled_certify_beyond_int64_centers(tmp_path):
+    # n = 40, tau_n = 30 gives sum(2**m for m in 10..70) > 2**63 candidate centers.
+    code_file = tmp_path / "big.json"
+    sample = run_cli("sample", "-q", "2", "-n", "40", "-M", "2", "--seed", "1", "--json", "--out", str(code_file))
+    assert sample.returncode == 0
+    argv = ("certify", "--code-file", str(code_file), "--tau-n", "30", "-L", "2", "--mode", "sampled")
+    result = run_cli(*argv, "--seed", "1", "--samples", "5")
+    assert result.returncode == 0
+    assert "Traceback" not in result.stderr
+    assert json.loads(result.stdout)["ok"] is True
+
+
+def test_cli_import_loads_neither_numpy_nor_scipy():
+    probe = "import insdel.cli, sys; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 def test_seeded_subcommands_are_byte_identical():
     for argv in (
         ("sample", "-q", "2", "-n", "8", "-M", "16", "--seed", "42", "--digest"),

@@ -2,10 +2,11 @@
 
 import pytest
 
-from insdel.codes import Code, sample_random_code
+from insdel.codes import Code, philox_generator, sample_random_code
 from insdel.core import CapacityError, DomainError, insdel_distance, iter_words, word
 from insdel.decode import (
     RSCode,
+    _draw_below,
     brute_force_list_decode,
     brute_force_list_recover,
     certify_list_decodable,
@@ -91,6 +92,21 @@ def test_certify_sampled_is_deterministic():
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
+
+
+def test_draw_below_keeps_int64_stream_and_covers_big_totals():
+    # Up to 2**63 the draw is numpy's own, so sampled streams stay pinned.
+    for total in (1, 7, 2 ** 63):
+        mine, ref = philox_generator(5), philox_generator(5)
+        assert [_draw_below(mine, total) for _ in range(8)] == [
+            int(ref.integers(0, total)) for _ in range(8)
+        ]
+    # Past int64 it is exact: in range, and reaching far above 2**63.
+    total = 2 ** 70 + 3
+    rng = philox_generator(5)
+    draws = [_draw_below(rng, total) for _ in range(64)]
+    assert all(0 <= d < total for d in draws)
+    assert max(draws) > 2 ** 69
 
 
 def test_certify_validation():
