@@ -27,12 +27,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
 from .codes import Code
-from .core import DomainError, OutOfRegimeError, RegimeWarning, Word
+from .core import DomainError, OutOfRegimeError, RegimeWarning, Word, _frac
 
 _DEFAULT_GRID = 2048
 _TABLE_KNOTS = 1024
@@ -468,22 +467,14 @@ def large_q_rate(kappa: float, epsilon: float) -> RatePoint:
     return RatePoint(x=kappa, rate=_clamp01(raw), raw=raw, list_size_class="constant")
 
 
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(str(x))
-
-
 def large_q_list_size(tau, epsilon) -> int:
     """Guaranteed list size ceil((1+tau)/epsilon) - 1, in exact arithmetic.
 
     Floats are interpreted via their decimal string (0.01 means 1/100),
     so desk-scale parameters evaluate without binary-rounding surprises.
     """
-    t = _to_fraction(tau)
-    e = _to_fraction(epsilon)
+    t = _frac(tau, "tau")
+    e = _frac(epsilon, "epsilon")
     if e <= 0:
         raise DomainError("epsilon must be positive")
     if t < 0:

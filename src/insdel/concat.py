@@ -10,9 +10,13 @@ whole domain, and narrows the admissible block positions for every hit
 by exact interval arithmetic before handing the accumulated position
 lists to brute-force outer list recovery.
 
-All window and feasibility arithmetic runs on Fractions.  Rational
-parameters may be given as Fraction, int, or string ("2/5"); floats
-are accepted and converted via their shortest decimal representation.
+Every edit count is an integer, so ConcatParams turns its rational
+radii into whole edit counts once (radius, inner_radius) and the
+per-window feasibility and inner-radius tests compare ints only;
+Fractions appear only at construction, in the window grid's bounds and
+in the once-per-decode list-mass cap.  Rational parameters may be given
+as Fraction, int, or string ("2/5"); floats are accepted and converted
+via their shortest decimal representation.
 """
 
 from __future__ import annotations
@@ -21,23 +25,13 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .codes import Code, Seed, sample_word_sequence
 from .core import BoundViolationError, DomainError, InsdelError, RegimeWarning, Word
-from .core import _lcs_bits, insdel_distance
+from .core import FractionLike, _frac, _lcs_bits, insdel_distance
 from .decode import RSCode, brute_force_list_recover, rs_encode
-
-FractionLike = Fraction | int | float | str
-
-
-def _frac(value: FractionLike, name: str) -> Fraction:
-    try:
-        if isinstance(value, float):
-            return Fraction(str(value))
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise DomainError(f"{name} is not a valid rational: {value!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -135,10 +129,15 @@ class Window:
 class ConcatParams:
     """Parameters tying the outer code, inner encoder, and budgets together.
 
-    Derived quantities: tau_hat = tau_in - tau_star is the alignment
-    grid pitch (tau_hat * n must be a positive integer), and
-    tau = (1 - alpha_out) * tau_in - eps_conc is the decoding radius as
-    a fraction of the total length n*N.
+    Derived quantities, each computed once per instance: tau_hat =
+    tau_in - tau_star is the alignment grid pitch (tau_hat_n = tau_hat * n
+    must be a positive integer), eps_cont_N = eps_cont * N is the number
+    of encoder indices, and tau = (1 - alpha_out) * tau_in - eps_conc is
+    the decoding radius as a fraction of the total length n*N.  In whole
+    edits, radius = floor(tau * n * N) is the decoding radius and
+    inner_radius = floor(tau_in * n) the inner list-decoding radius; an
+    integer edit count exceeds a rational bound exactly when it exceeds
+    the bound's floor, so the decoder compares against these two ints.
     """
 
     N: int
@@ -207,21 +206,29 @@ class ConcatParams:
                     stacklevel=2,
                 )
 
-    @property
+    @cached_property
     def tau_hat(self) -> Fraction:
         return self.tau_in - self.tau_star
 
-    @property
+    @cached_property
     def tau_hat_n(self) -> int:
         return int(self.tau_hat * self.n)
 
-    @property
+    @cached_property
     def eps_cont_N(self) -> int:
         return int(self.eps_cont * self.N)
 
-    @property
+    @cached_property
     def tau(self) -> Fraction:
         return (1 - self.alpha_out) * self.tau_in - self.eps_conc
+
+    @cached_property
+    def radius(self) -> int:
+        return math.floor(self.tau * self.n * self.N)
+
+    @cached_property
+    def inner_radius(self) -> int:
+        return math.floor(self.tau_in * self.n)
 
     def index_for_position(self, i: int) -> int:
         """Cyclic encoder index carried by block position i (1-based)."""
@@ -264,8 +271,8 @@ def make_concat_params(
     if points is None:
         points = tuple(range(N))
     outer = RSCode(p=p, k=K, points=tuple(points))
-    eps_cont_f = _frac(eps_cont, "eps_cont")
-    count = eps_cont_f * N
+    eps_cont = _frac(eps_cont, "eps_cont")
+    count = eps_cont * N
     if count.denominator != 1 or count < 1:
         raise DomainError("eps_cont * N must be a positive integer")
     inner = InnerEncoder.sample(q, n, int(count), p, inner_seed)
@@ -275,13 +282,13 @@ def make_concat_params(
         q=q,
         outer=outer,
         inner=inner,
-        eps_cont=eps_cont_f,
-        eps_in=_frac(eps_in, "eps_in"),
-        eps_out=_frac(eps_out, "eps_out"),
-        eps_conc=_frac(eps_conc, "eps_conc"),
-        tau_in=_frac(tau_in, "tau_in"),
-        tau_star=_frac(tau_star, "tau_star"),
-        alpha_out=_frac(alpha_out, "alpha_out"),
+        eps_cont=eps_cont,
+        eps_in=eps_in,
+        eps_out=eps_out,
+        eps_conc=eps_conc,
+        tau_in=tau_in,
+        tau_star=tau_star,
+        alpha_out=alpha_out,
         ell_out=ell_out,
     )
 
@@ -329,8 +336,7 @@ def build_windows(params: ConcatParams, M: int) -> set[Window]:
         for mu in range(mu_lo, mu_hi + 1):
             lambda_len = max(0, min(mu * step, M - phi))
             out.add(Window(phi=phi, lambda_len=lambda_len, lam=lam, mu=mu))
-    total = params.n * params.N
-    if max(0, (1 - params.tau) * total) <= M <= (1 + params.tau) * total:
+    if abs(M - params.n * params.N) <= params.radius:
         width = ((1 + params.tau) * params.N - max(Fraction(0), 1 - params.tau_star))
         lengths = min(2 * params.tau_star, 1 + params.tau_star)
         cap = (width / tau_hat + 2) * (lengths / tau_hat + 2)
@@ -373,36 +379,33 @@ def feasible_jN(i: int, lam: int, mu: int, params: ConcatParams, M: int) -> set[
     gates (inner radius, window-in-word, and the budget's emptiness
     condition), which makes the result match a direct scan of the
     per-position requirements; positions outside [1, N] are dropped.
+
+    Every quantity here is a whole number of edits, so each comparison
+    with the rational radius tau * n * N uses its floor, params.radius,
+    and the interval ends are integer ceil/floor divisions.
     """
     if i < 0 or lam < 0 or mu < 0 or M < 0:
         raise DomainError("feasibility inputs must be nonnegative")
     n, N = params.n, params.N
+    E = params.eps_cont_N
+    radius = params.radius
     step = params.tau_hat_n
     sp = lam * step
     length = mu * step
     stretch = n - length
-    if abs(stretch) > params.tau_in * n:
+    if abs(stretch) > params.inner_radius:
         return set()
     if sp > M - length:
         return set()
-    budget = params.tau * n * N - abs(stretch)
-    if abs((M - n * N) + stretch) > budget:
+    if abs((M - n * N) + stretch) + abs(stretch) > radius:
         return set()
-    den = params.eps_cont_N * n
-    lo_num = ((1 - params.tau) * n * N - M) / 2 + sp - min(stretch, 0) - i * n
-    hi_num = ((1 + params.tau) * n * N - M) / 2 + sp - max(stretch, 0) - i * n
-    lo = max(Fraction(0), lo_num / den)
-    hi = hi_num / den
-    first = math.ceil(lo)
-    last = math.floor(hi)
-    out = {
-        j_N
-        for j_N in range(first, last + 1)
-        if 1 <= 1 + i + j_N * params.eps_cont_N <= N
-    }
-    if len(out) > params.tau / params.eps_cont + 1:
+    base = n * N - M + 2 * (sp - i * n)
+    den = 2 * E * n
+    first = max(0, -((radius - base + 2 * min(stretch, 0)) // den))
+    last = min((base - 2 * max(stretch, 0) + radius) // den, (N - 1 - i) // E)
+    if (last - first) * E * n > radius:
         raise BoundViolationError("feasible position count exceeded tau/eps_cont + 1")
-    return out
+    return set(range(first, last + 1))
 
 
 def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeReport:
@@ -418,15 +421,15 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
         raise DomainError(f"received word alphabet {r.q} differs from q={params.q}")
     M = len(r)
     total = params.n * params.N
-    lo = max(0, (1 - params.tau) * total)
-    hi = (1 + params.tau) * total
-    if not lo <= M <= hi:
+    if abs(M - total) > params.radius:
         raise DomainError(
-            f"received length {M} outside the decodable range [{lo}, {hi}]"
+            f"received length {M} outside the decodable range "
+            f"[{max(0, total - params.radius)}, {total + params.radius}]"
         )
     windows = sorted(build_windows(params, M))
     n = params.n
-    tau_in_n = params.tau_in * n
+    inner_radius = params.inner_radius
+    E = params.eps_cont_N
     r_syms = r.symbols
     lists: list[set[int]] = [set() for _ in range(params.N)]
     domain = list(params.inner.domain())
@@ -446,7 +449,7 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
             for win in group:
                 length = win.lambda_len
                 lcs = length - (bits & ((1 << length) - 1)).bit_count()
-                if n + length - 2 * lcs > tau_in_n:
+                if n + length - 2 * lcs > inner_radius:
                     continue
                 hits_per_window[win] += 1
                 key = (index - 1, win.lam, win.mu)
@@ -455,8 +458,7 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
                     positions = feasible_jN(index - 1, win.lam, win.mu, params, M)
                     jn_cache[key] = positions
                 for j_N in positions:
-                    j = 1 + (index - 1) + j_N * params.eps_cont_N
-                    lists[j - 1].add(sym)
+                    lists[index - 1 + j_N * E].add(sym)
         match_total += sum(hits_per_window.values())
         max_inner_list = max(max_inner_list, *hits_per_window.values())
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Iterator
 
 
@@ -51,6 +52,19 @@ class ScriptError(DomainError):
 
 class RegimeWarning(UserWarning):
     """A formula was evaluated outside its guaranteed parameter regime."""
+
+
+FractionLike = Fraction | int | float | str
+
+
+def _frac(value: FractionLike, name: str) -> Fraction:
+    """Exact rational from a Fraction, int or string; floats via their decimal string."""
+    try:
+        if isinstance(value, float):
+            return Fraction(str(value))
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        raise DomainError(f"{name} is not a valid rational: {value!r}") from exc
 
 
 @dataclass(frozen=True)

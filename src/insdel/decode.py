@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .bounds import large_q_list_size, random_rate_binary, random_rate_q3
-from .codes import Code, Seed, philox_generator, sample_random_code
+from .codes import Code, Seed, _is_prime, philox_generator, sample_random_code
 from .core import CapacityError, DomainError, Word, format_word, insdel_distance
 
 _CERTIFY_CENTER_LIMIT = 10 ** 7
@@ -48,7 +48,7 @@ class RSCode:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(int(x) for x in self.points))
-        if self.p < 2 or any(self.p % f == 0 for f in range(2, int(math.isqrt(self.p)) + 1)):
+        if not _is_prime(self.p):
             raise DomainError(f"field order {self.p} is not prime")
         if len(set(self.points)) != len(self.points):
             raise DomainError("evaluation points must be distinct")

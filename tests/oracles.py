@@ -34,6 +34,39 @@ DESK = dict(
     inner_seed=2024,
 )
 
+# The sharp instance: the DESK decoder over q=4, n=20 with a tighter
+# inner radius.  At the full budget of 16 edits the decoded list holds
+# about one codeword out of p**K = 1331, so containment can fail.
+# Builds warning-free.
+SHARP = dict(
+    N=8,
+    n=20,
+    q=4,
+    p=11,
+    K=3,
+    eps_cont=Fraction(1, 4),
+    eps_in=Fraction(1, 10),
+    eps_out=Fraction(1, 8),
+    eps_conc=Fraction(1, 40),
+    tau_in=Fraction(1, 4),
+    tau_star=Fraction(1, 5),
+    alpha_out=Fraction(1, 2),
+    ell_out=88,
+    inner_seed=2024,
+)
+
+# DESK with non-integer radii: tau * n * N = 46/3 and tau_in * n = 9/2,
+# so a floor/ceil slip in either whole-edit radius changes results.
+# tau_star sits below the regime threshold, so building it always raises
+# RegimeWarning.
+DESK_FRACTIONAL = {
+    **DESK,
+    "tau_in": Fraction(9, 20),
+    "tau_star": Fraction(7, 20),
+    "eps_conc": Fraction(1, 30),
+    "ell_out": 10 ** 6,
+}
+
 # A second instance with a coarser grid (step 2 instead of 1), used where
 # fractional alignment matters.  Sits exactly on the regime threshold's
 # good side, so construction stays warning-free.

@@ -26,9 +26,10 @@ from insdel.concat import (
     params_from_json_dict,
     params_to_json_dict,
 )
+from insdel.codes import philox_generator
 from insdel.core import DomainError, RegimeWarning, insdel_distance, word
 from insdel.decode import rs_encode
-from oracles import DESK, HOST_N3, HOST_N6, brute_feasible
+from oracles import DESK, DESK_FRACTIONAL, HOST_N3, HOST_N6, SHARP, brute_feasible
 
 MESSAGE = (1, 2, 0)
 
@@ -46,11 +47,46 @@ def host_n3() -> ConcatParams:
         return make_concat_params(**HOST_N3)
 
 
+@pytest.fixture(scope="module")
+def desk_fractional() -> ConcatParams:
+    with pytest.warns(RegimeWarning):
+        return make_concat_params(**DESK_FRACTIONAL)
+
+
+def full_budget_roundtrip(params: ConcatParams, seed: int):
+    """Encode a seeded message and spend floor(tau*n*N) edits on random blocks.
+
+    Same spreading rule as the end-to-end acceptance test: one edit at a
+    time on a random block, each block capped at 2n edits.
+    """
+    rng = philox_generator(seed)
+    message = [int(v) for v in rng.integers(0, params.outer.p, size=params.outer.k)]
+    sent = concat_encode_message(params, message)
+    budgets = [0] * params.N
+    remaining = params.radius
+    while remaining:
+        pick = int(rng.integers(0, params.N))
+        if budgets[pick] < 2 * params.n:
+            budgets[pick] += 1
+            remaining -= 1
+    received, _ = adversarial_block_channel(sent, params.n, budgets, seed)
+    return sent, list_decode_concat_detailed(params, received)
+
+
 def test_desk_derived_quantities(desk_params):
     assert desk_params.tau_hat == Fraction(1, 10)
     assert desk_params.tau_hat_n == 1
     assert desk_params.eps_cont_N == 2
     assert desk_params.tau == Fraction(1, 5)
+    assert desk_params.radius == 16
+    assert desk_params.inner_radius == 5
+
+
+def test_fractional_radii_round_down(desk_fractional):
+    assert desk_fractional.tau * 80 == Fraction(46, 3)
+    assert desk_fractional.tau_in * 10 == Fraction(9, 2)
+    assert desk_fractional.radius == 15
+    assert desk_fractional.inner_radius == 4
 
 
 def test_desk_sits_exactly_on_the_regime_threshold():
@@ -216,7 +252,7 @@ def test_feasible_jN_pinned_example(host_n6):
     assert {1 + 1 + j_N * host_n6.eps_cont_N for j_N in positions} == {2}
 
 
-def test_feasible_jN_matches_direct_scan(desk_params):
+def test_feasible_jN_matches_direct_scan(desk_params, desk_fractional):
     for M in (70, 80, 90):
         for i in range(desk_params.eps_cont_N):
             for lam in range(13):
@@ -224,6 +260,17 @@ def test_feasible_jN_matches_direct_scan(desk_params):
                     assert feasible_jN(i, lam, mu, desk_params, M) == brute_feasible(
                         i, lam, mu, desk_params, M
                     )
+    # Non-integer radii: every decodable M, every index up to one past
+    # the last, every grid window.
+    params = desk_fractional
+    total = params.n * params.N
+    for M in range(total - params.radius, total + params.radius + 1):
+        coords = {(w.lam, w.mu) for w in build_windows(params, M)}
+        for i in range(params.eps_cont_N + 1):
+            for lam, mu in coords:
+                assert feasible_jN(i, lam, mu, params, M) == brute_feasible(
+                    i, lam, mu, params, M
+                )
 
 
 def test_feasible_jN_gates(desk_params):
@@ -243,6 +290,42 @@ def test_zero_error_roundtrip(desk_params):
     assert report.list_mass <= desk_params.ell_out
     assert list(report.codewords) == sorted(report.codewords, key=lambda w: w.symbols)
     assert report.max_inner_list <= report.inner_match_total
+
+
+@pytest.mark.parametrize(
+    "seed,missing,inner_matches,list_size",
+    [
+        (0, [[1, 3, 4, 9], [], [9], [7], [1, 3, 4, 9], [], [], [1, 2, 5, 7, 10]], 1957, 1331),
+        (3, [[6, 8, 10], [6, 8], [8, 10], [6], [], [0, 6], [10], [6, 8]], 2401, 1326),
+        (7, [[8, 10], [6, 8], [], [], [], [7], [4], [6]], 2533, 1331),
+    ],
+)
+def test_fractional_radius_decodes_pinned(
+    desk_fractional, seed, missing, inner_matches, list_size
+):
+    """Full-budget decodes with tau*n*N = 46/3 and tau_in*n = 9/2.
+
+    missing[j] lists the field symbols absent from position list j.
+    """
+    sent, report = full_budget_roundtrip(desk_fractional, seed)
+    field = set(range(desk_fractional.outer.p))
+    assert [sorted(field - entries) for entries in report.position_lists] == missing
+    assert report.inner_match_total == inner_matches
+    assert len(report.codewords) == list_size
+    assert sent in report.codewords
+
+
+def test_sharp_instance_lists_are_short_and_contain_the_sent_word():
+    """At the full budget the sharp list is tiny next to p**K = 1331."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        params = make_concat_params(**SHARP)
+    assert params.radius == 16
+    assert params.outer.p ** params.outer.k == 1331
+    for seed in range(10):
+        sent, report = full_budget_roundtrip(params, seed)
+        assert sent in report.codewords, seed
+        assert len(report.codewords) <= 10, seed
 
 
 def test_single_block_corruption_recovers(desk_params):

@@ -94,6 +94,20 @@ def test_certify_sampled_is_deterministic():
     assert runs[0] == runs[1]
 
 
+def test_certify_sampled_pinned_witness():
+    """A violating code whose first sampled witness depends on the center stream."""
+    code = sample_random_code(2, 6, 12, 1)
+    witnesses = [
+        certify_list_decodable(code, 2, 3, mode="sampled", samples=200, seed=seed)
+        for seed in (1, 2, 3)
+    ]
+    assert witnesses == [
+        (False, word((1, 0, 0, 1, 1, 0, 0, 1), 2)),
+        (False, word((1, 0, 1, 1), 2)),
+        (False, word((1, 0, 0, 1, 0, 0, 1, 0), 2)),
+    ]
+
+
 def test_draw_below_keeps_int64_stream_and_covers_big_totals():
     # Up to 2**63 the draw is numpy's own, so sampled streams stay pinned.
     for total in (1, 7, 2 ** 63):
