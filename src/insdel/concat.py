@@ -17,6 +17,12 @@ Fractions appear only at construction, in the window grid's bounds and
 in the once-per-decode list-mass cap.  Rational parameters may be given
 as Fraction, int, or string ("2/5"); floats are accepted and converted
 via their shortest decimal representation.
+
+The decoder computes each invariant at the level where it stops
+changing: the LCS kernel's match table once per window start (shared
+by every inner-domain word), the outer code's codebook once per
+RSCode, and the re-encoded list words without re-validating symbols
+that come from already-validated inner words.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from typing import Iterator, Sequence
 
 from .codes import Code, Seed, sample_word_sequence
 from .core import BoundViolationError, DomainError, InsdelError, RegimeWarning, Word
-from .core import FractionLike, _frac, _lcs_bits, insdel_distance
+from .core import FractionLike, _frac, _lcs_recurrence, _match_table, insdel_distance
 from .decode import RSCode, brute_force_list_recover, rs_encode
 
 
@@ -299,11 +305,16 @@ def concat_encode(params: ConcatParams, outer_codeword: Sequence[int]) -> Word:
         raise DomainError(
             f"outer codeword length {len(outer_codeword)} differs from N={params.N}"
         )
+    # Block i (0-based) carries encoder index i mod eps_cont_N, and the
+    # inner word for (index, sym) sits at index * p + sym; the blocks are
+    # inner encoder words over q, so the result needs no re-validation.
+    words, E, p = params.inner.words, params.eps_cont_N, params.outer.p
     symbols: list[int] = []
-    for i, sym in enumerate(outer_codeword, start=1):
-        block = params.inner.encode(params.index_for_position(i), sym)
-        symbols.extend(block.symbols)
-    return Word(tuple(symbols), params.q)
+    for i, sym in enumerate(outer_codeword):
+        if not 0 <= sym < p:
+            raise DomainError(f"outer symbol {sym} outside [0, {p})")
+        symbols += words[(i % E) * p + sym].symbols
+    return Word._unchecked(tuple(symbols), params.q)
 
 
 def concat_encode_message(params: ConcatParams, message: Sequence[int]) -> Word:
@@ -426,13 +437,13 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
             f"received length {M} outside the decodable range "
             f"[{max(0, total - params.radius)}, {total + params.radius}]"
         )
-    windows = sorted(build_windows(params, M))
+    windows = build_windows(params, M)
     n = params.n
     inner_radius = params.inner_radius
     E = params.eps_cont_N
     r_syms = r.symbols
     lists: list[set[int]] = [set() for _ in range(params.N)]
-    domain = list(params.inner.domain())
+    domain = [(index, sym, codeword.symbols) for index, sym, codeword in params.inner.domain()]
     jn_cache: dict[tuple[int, int, int], set[int]] = {}
     match_total = 0
     max_inner_list = 0
@@ -440,27 +451,35 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
     by_phi: dict[int, list[Window]] = {}
     for win in windows:
         by_phi.setdefault(win.phi, []).append(win)
-    for phi, group in by_phi.items():
+    # Groups run in phi order: the position lists are equal in any order,
+    # but the order in which symbols first enter a set fixes how it prints.
+    for phi in sorted(by_phi):
+        group = by_phi[phi]
         longest = max(win.lambda_len for win in group)
-        content = r_syms[phi : phi + longest]
-        hits_per_window = {win: 0 for win in group}
-        for index, sym, codeword in domain:
-            bits = _lcs_bits(codeword.symbols, content)
-            for win in group:
-                length = win.lambda_len
-                lcs = length - (bits & ((1 << length) - 1)).bit_count()
-                if n + length - 2 * lcs > inner_radius:
+        table = _match_table(r_syms[phi : phi + longest])
+        # A domain word hits a window of length L when n + L - 2*lcs <=
+        # inner_radius, i.e. when the L low bits of its vector hold at most
+        # (inner_radius - n + L) // 2 set bits (lcs = L - that count).
+        gates = [
+            ((1 << win.lambda_len) - 1, (inner_radius - n + win.lambda_len) // 2, win.lam, win.mu)
+            for win in group
+        ]
+        hits = [0] * len(gates)
+        for index, sym, symbols in domain:
+            bits = _lcs_recurrence(symbols, table)
+            for k, (low, most, lam, mu) in enumerate(gates):
+                if (bits & low).bit_count() > most:
                     continue
-                hits_per_window[win] += 1
-                key = (index - 1, win.lam, win.mu)
+                hits[k] += 1
+                key = (index - 1, lam, mu)
                 positions = jn_cache.get(key)
                 if positions is None:
-                    positions = feasible_jN(index - 1, win.lam, win.mu, params, M)
+                    positions = feasible_jN(index - 1, lam, mu, params, M)
                     jn_cache[key] = positions
                 for j_N in positions:
                     lists[index - 1 + j_N * E].add(sym)
-        match_total += sum(hits_per_window.values())
-        max_inner_list = max(max_inner_list, *hits_per_window.values())
+        match_total += sum(hits)
+        max_inner_list = max(max_inner_list, *hits)
 
     mass = sum(len(entries) for entries in lists)
     cap = len(windows) * max_inner_list * (params.tau / params.eps_cont + 1)
@@ -468,7 +487,7 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
         raise BoundViolationError("position-list mass exceeded the window-count bound")
     frozen = tuple(frozenset(entries) for entries in lists)
     outer_hits = brute_force_list_recover(
-        params.outer, frozen, float(params.alpha_out), ell=params.ell_out
+        params.outer, frozen, params.alpha_out, ell=params.ell_out
     )
     encoded = sorted(
         (concat_encode(params, cw) for cw in outer_hits), key=lambda w: w.symbols

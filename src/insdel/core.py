@@ -86,6 +86,14 @@ class Word:
             if not 0 <= s < self.q:
                 raise DomainError(f"symbol {s} outside alphabet of size {self.q}")
 
+    @classmethod
+    def _unchecked(cls, symbols: tuple[int, ...], q: int) -> "Word":
+        """Build a word from symbols already validated as a tuple of ints below q."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "symbols", symbols)
+        object.__setattr__(w, "q", q)
+        return w
+
     def __len__(self) -> int:
         return len(self.symbols)
 
@@ -94,7 +102,7 @@ class Word:
 
     def __getitem__(self, item):
         if isinstance(item, slice):
-            return Word(self.symbols[item], self.q)
+            return Word._unchecked(self.symbols[item], self.q)
         return self.symbols[item]
 
     def __str__(self) -> str:
@@ -152,6 +160,29 @@ def _require_same_alphabet(a: Word, b: Word) -> None:
         raise AlphabetMismatchError(f"alphabet sizes differ: {a.q} vs {b.q}")
 
 
+def _match_table(ys: tuple[int, ...]) -> tuple[dict[int, int], int]:
+    """The half of the LCS kernel that depends only on ys.
+
+    Returns (match, mask): match[y] has bit j set iff ys[j] == y, and
+    mask has one bit per symbol of ys.  Build it once and run
+    :func:`_lcs_recurrence` against it for every xs.
+    """
+    match: dict[int, int] = {}
+    for j, y in enumerate(ys):
+        match[y] = match.get(y, 0) | 1 << j
+    return match, (1 << len(ys)) - 1
+
+
+def _lcs_recurrence(xs: tuple[int, ...], table: tuple[dict[int, int], int]) -> int:
+    """Bit vector V of xs against the word the match table was built over."""
+    match, mask = table
+    v = mask
+    for x in xs:
+        u = v & match.get(x, 0)
+        v = ((v + u) | (v - u)) & mask
+    return v
+
+
 def _lcs_bits(xs: tuple[int, ...], ys: tuple[int, ...]) -> int:
     """Bit-parallel LCS of xs against every prefix of ys (Allison-Dix, Hyyrö).
 
@@ -159,15 +190,7 @@ def _lcs_bits(xs: tuple[int, ...], ys: tuple[int, ...]) -> int:
     xs.  Bit j of V is clear iff ys[j] raises the LCS over ys[:j], so
     LCS(xs, ys[:j]) = j - (V & (2**j - 1)).bit_count() for every j.
     """
-    match: dict[int, int] = {}
-    for j, y in enumerate(ys):
-        match[y] = match.get(y, 0) | 1 << j
-    mask = (1 << len(ys)) - 1
-    v = mask
-    for x in xs:
-        u = v & match.get(x, 0)
-        v = ((v + u) | (v - u)) & mask
-    return v
+    return _lcs_recurrence(xs, _match_table(ys))
 
 
 def lcs_length(a: Word, b: Word) -> int:

@@ -12,11 +12,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .bounds import large_q_list_size, random_rate_binary, random_rate_q3
 from .codes import Code, Seed, _is_prime, philox_generator, sample_random_code
-from .core import CapacityError, DomainError, Word, format_word, insdel_distance
+from .core import CapacityError, DomainError, FractionLike, Word, _frac, format_word
+from .core import insdel_distance
 
 _CERTIFY_CENTER_LIMIT = 10 ** 7
 _RECOVER_SPAN_LIMIT = 10 ** 6
@@ -62,6 +64,22 @@ class RSCode:
     @property
     def n(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def codebook(self) -> tuple[tuple[int, ...], ...]:
+        """Every codeword, in itertools.product message order; built on first use.
+
+        Raises CapacityError, before building anything, when p**K exceeds
+        the enumeration limit.
+        """
+        if self.p ** self.k > _RECOVER_SPAN_LIMIT:
+            raise CapacityError(
+                f"p**K = {self.p ** self.k} exceeds the enumeration limit {_RECOVER_SPAN_LIMIT}"
+            )
+        return tuple(
+            rs_encode(self, message)
+            for message in itertools.product(range(self.p), repeat=self.k)
+        )
 
 
 def brute_force_list_decode(c: Code, r: Word, radius: int) -> DecodeResult:
@@ -242,16 +260,20 @@ def rs_encode(code: RSCode, message: Sequence[int]) -> tuple[int, ...]:
 def brute_force_list_recover(
     code: RSCode,
     lists: PositionLists,
-    alpha: float,
+    alpha: FractionLike,
     ell: int | None = None,
 ) -> list[tuple[int, ...]]:
     """All codewords agreeing with the position lists on >= alpha*N spots.
 
-    Pure enumeration of the p**K messages; exact and deterministic, with
-    output sorted lexicographically.  When ell is given, the total list
-    mass sum(|A_i|) is checked against it up front.
+    Pure enumeration of the p**K codewords of the code's codebook; exact
+    and deterministic, with output sorted lexicographically.  alpha is
+    taken as an exact rational, so a codeword is kept when it agrees on
+    at least ceil(alpha*N) positions.  When ell is given, the total list
+    mass sum(|A_i|) is checked against it up front, before the codebook
+    is built; a code above the enumeration limit raises CapacityError.
     """
-    if not 0 <= alpha <= 1:
+    exact = _frac(alpha, "alpha")
+    if not 0 <= exact <= 1:
         raise DomainError(f"agreement fraction {alpha} outside [0,1]")
     if len(lists) != code.n:
         raise DomainError(f"got {len(lists)} position lists for N={code.n}")
@@ -261,17 +283,13 @@ def brute_force_list_recover(
     mass = sum(len(entries) for entries in lists)
     if ell is not None and mass > ell:
         raise DomainError(f"total list mass {mass} exceeds the budget ell = {ell}")
-    if code.p ** code.k > _RECOVER_SPAN_LIMIT:
-        raise CapacityError(
-            f"p**K = {code.p ** code.k} exceeds the enumeration limit {_RECOVER_SPAN_LIMIT}"
-        )
-    threshold = alpha * code.n
+    codebook = code.codebook
+    threshold = math.ceil(exact * code.n)
     sets = [frozenset(entries) for entries in lists]
-    out = []
-    for message in itertools.product(range(code.p), repeat=code.k):
-        codeword = rs_encode(code, message)
-        agreement = sum(1 for sym, entries in zip(codeword, sets) if sym in entries)
-        if agreement >= threshold - 1e-12:
-            out.append(codeword)
+    out = [
+        codeword
+        for codeword in codebook
+        if sum(map(frozenset.__contains__, sets, codeword)) >= threshold
+    ]
     out.sort()
     return out

@@ -4,14 +4,18 @@ Byte-level pins run through a subprocess so they cover the real entry
 point; everything else calls main() in-process for speed.
 """
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from insdel.channel import adversarial_block_channel, random_channel
-from insdel.cli import main
+from insdel.cli import CURVE_KINDS, main
 from insdel.codes import code_to_json_dict, sample_random_code
 from insdel.concat import concat_encode_message, params_to_json_dict
 from insdel.core import format_word, iter_words, parse_word, word
@@ -368,3 +372,98 @@ def test_seeded_subcommands_are_byte_identical():
         second = run_cli(*argv)
         assert first.returncode == 0
         assert first.stdout == second.stdout
+
+
+# Alphabet sizes, lengths and radii stay tiny, so no drawn call comes near
+# an enumeration limit; other integers (seeds, counts, budgets) span -3..12.
+FUZZ_INTS = st.integers(-3, 12)
+FUZZ_SIZES = st.integers(-3, 4)
+FUZZ_WORDS = st.text(alphabet="0123x,", max_size=8)
+FUZZ_SYMBOLS = st.lists(FUZZ_INTS, max_size=9).map(lambda xs: ",".join(map(str, xs)))
+FUZZ_FLAG = object()  # a store_true option
+
+
+def _fuzz_options(paths) -> dict:
+    """Subcommand -> ([required], [optional]) (option or None for a positional, values)."""
+    q = ("-q", FUZZ_SIZES)
+    return {
+        "distance": ([q, (None, FUZZ_WORDS), (None, FUZZ_WORDS)], []),
+        "runs": ([q, (None, FUZZ_WORDS)], []),
+        "sphere": ([q, ("--center", FUZZ_WORDS), ("--radius", FUZZ_SIZES),
+                    ("--kind", st.sampled_from(["insertion", "deletion", "both"]))], []),
+        "ball": ([q, ("--center", FUZZ_WORDS), ("--radius", FUZZ_SIZES),
+                  ("--length", FUZZ_SIZES)],
+                 [("--mode", st.sampled_from(["fast", "oracle"]))]),
+        "curve": ([("--kind", st.sampled_from(CURVE_KINDS + ("bogus",))),
+                   ("--start", FUZZ_INTS.map(lambda v: v / 10)),
+                   ("--stop", FUZZ_INTS.map(lambda v: v / 10)), ("--steps", FUZZ_INTS)],
+                  [q, ("--epsilon", st.sampled_from(["0", "0.01", "0.5", "1", "-1", "x"]))]),
+        "gv-greedy": ([q, ("-n", FUZZ_SIZES), ("-d", FUZZ_SIZES)], []),
+        "sample": ([q, ("-n", FUZZ_SIZES), ("--seed", FUZZ_INTS)],
+                   [("-M", FUZZ_INTS), ("--linear", FUZZ_FLAG), ("-k", FUZZ_SIZES),
+                    ("--digest", FUZZ_FLAG), ("--json", FUZZ_FLAG)]),
+        "certify": ([("--code-file", paths), ("--tau-n", FUZZ_SIZES), ("-L", FUZZ_INTS)],
+                    [("--mode", st.sampled_from(["exhaustive", "sampled"])),
+                     ("--samples", FUZZ_INTS), ("--seed", FUZZ_INTS)]),
+        "channel": ([q, ("--word", FUZZ_WORDS), ("--seed", FUZZ_INTS)],
+                    [("--ins", FUZZ_INTS), ("--del", FUZZ_INTS), ("--block-len", FUZZ_INTS),
+                     ("--budgets", FUZZ_SYMBOLS)]),
+        "concat-encode": ([("--params", paths)],
+                          [("--message", FUZZ_SYMBOLS), ("--outer", FUZZ_SYMBOLS)]),
+        "concat-decode": ([("--params", paths), ("--word", FUZZ_WORDS)], []),
+        "concat-roundtrip": ([("--params", paths), ("--seed", FUZZ_INTS),
+                              ("--budget", FUZZ_INTS)], []),
+    }
+
+
+def _fuzz_argv(command, inputs, outputs):
+    """The subcommand with its required options and any subset of the rest."""
+    def present(option, values):
+        if values is FUZZ_FLAG:
+            return st.just([option])
+        return values.map(lambda v: [str(v)] if option is None else [option, str(v)])
+
+    def maybe(option, values):
+        return st.just([]) | present(option, values)
+
+    required, optional = _fuzz_options(st.sampled_from(inputs))[command]
+    return st.tuples(
+        st.just([command]),
+        *(present(o, v) for o, v in required),
+        *(maybe(o, v) for o, v in optional),
+        maybe("--out", st.sampled_from(outputs)),
+    ).map(lambda parts: [arg for part in parts for arg in part])
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory, desk_params):
+    """Input paths (missing, a directory, malformed JSON, a JSON list, a code,
+    DESK params) and --out paths (a file, one in a missing directory, a directory)."""
+    root = tmp_path_factory.mktemp("fuzz")
+    contents = {
+        "malformed.json": "{not json",
+        "list.json": "[1, 2]",
+        "code.json": json.dumps(code_to_json_dict(sample_random_code(2, 4, 3, 1))),
+        "params.json": json.dumps(params_to_json_dict(desk_params)),
+    }
+    for name, text in contents.items():
+        (root / name).write_text(text)
+    inputs = [str(root / name) for name in ("missing.json", *contents)] + [str(root)]
+    return inputs, [str(root / "out.txt"), str(root / "no-such-dir" / "out.txt"), str(root)]
+
+
+@pytest.mark.parametrize("command", sorted(_fuzz_options(st.nothing())))
+def test_cli_fuzz_exits_with_a_documented_code(fuzz_files, command):
+    """Every drawn invocation returns 0, 2, 3 or 4; no other exception escapes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_fuzz_argv(command, *fuzz_files))
+    def run(argv):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 2, 3, 4), argv
+
+    run()

@@ -29,7 +29,7 @@ from insdel.concat import (
 from insdel.codes import philox_generator
 from insdel.core import DomainError, RegimeWarning, insdel_distance, word
 from insdel.decode import rs_encode
-from oracles import DESK, DESK_FRACTIONAL, HOST_N3, HOST_N6, SHARP, brute_feasible
+from oracles import DESK, DESK_FRACTIONAL, HOST_N3, HOST_N6, SHARP, brute_feasible, lcs_ref
 
 MESSAGE = (1, 2, 0)
 
@@ -53,11 +53,12 @@ def desk_fractional() -> ConcatParams:
         return make_concat_params(**DESK_FRACTIONAL)
 
 
-def full_budget_roundtrip(params: ConcatParams, seed: int):
+def full_budget_channel(params: ConcatParams, seed: int):
     """Encode a seeded message and spend floor(tau*n*N) edits on random blocks.
 
     Same spreading rule as the end-to-end acceptance test: one edit at a
-    time on a random block, each block capped at 2n edits.
+    time on a random block, each block capped at 2n edits.  Returns the
+    sent and the received word.
     """
     rng = philox_generator(seed)
     message = [int(v) for v in rng.integers(0, params.outer.p, size=params.outer.k)]
@@ -70,6 +71,12 @@ def full_budget_roundtrip(params: ConcatParams, seed: int):
             budgets[pick] += 1
             remaining -= 1
     received, _ = adversarial_block_channel(sent, params.n, budgets, seed)
+    return sent, received
+
+
+def full_budget_roundtrip(params: ConcatParams, seed: int):
+    """full_budget_channel followed by the detailed decode of the received word."""
+    sent, received = full_budget_channel(params, seed)
     return sent, list_decode_concat_detailed(params, received)
 
 
@@ -186,6 +193,22 @@ def test_concat_encode_block_structure(desk_params):
 def test_concat_encode_length_check(desk_params):
     with pytest.raises(DomainError):
         concat_encode(desk_params, (0,) * 7)
+
+
+@pytest.mark.parametrize("bad", [11, -1])
+def test_concat_encode_outer_symbol_range(desk_params, bad):
+    """Symbols p and -1 are rejected, not looked up in the inner word table."""
+    outer_word = list(rs_encode(desk_params.outer, MESSAGE))
+    outer_word[3] = bad
+    with pytest.raises(DomainError, match=rf"outer symbol {bad} outside \[0, 11\)"):
+        concat_encode(desk_params, outer_word)
+
+
+def test_concat_encode_equals_a_validated_word(desk_params):
+    c = concat_encode_message(desk_params, MESSAGE)
+    assert type(c.symbols) is tuple
+    assert c == word(c.symbols, desk_params.q)
+    assert hash(c) == hash(word(c.symbols, desk_params.q))
 
 
 def test_window_ordering_and_content():
@@ -326,6 +349,31 @@ def test_sharp_instance_lists_are_short_and_contain_the_sent_word():
         sent, report = full_budget_roundtrip(params, seed)
         assert sent in report.codewords, seed
         assert len(report.codewords) <= 10, seed
+
+
+@pytest.mark.parametrize("instance, seeds", [(DESK, range(4)), (SHARP, range(2))], ids=["desk", "sharp"])
+def test_inner_scan_counts_match_full_matrix_reference(instance, seeds):
+    """Recount the inner scan window by window with oracles.lcs_ref.
+
+    A domain word hits a grid window when n + len - 2*lcs <= inner_radius;
+    the report's inner_match_total and max_inner_list must equal the
+    totals of that direct scan, which shares no code with the decoder's
+    match tables.
+    """
+    params = make_concat_params(**instance)
+    n, inner_radius = params.n, params.inner_radius
+    for seed in seeds:
+        _, received = full_budget_channel(params, seed)
+        hits = []
+        for win in build_windows(params, len(received)):
+            content = win.content(received).symbols
+            hits.append(sum(
+                n + len(content) - 2 * lcs_ref(codeword.symbols, content) <= inner_radius
+                for codeword in params.inner.words
+            ))
+        report = list_decode_concat_detailed(params, received)
+        assert report.window_count == len(hits), seed
+        assert (report.inner_match_total, report.max_inner_list) == (sum(hits), max(hits)), seed
 
 
 def test_single_block_corruption_recovers(desk_params):

@@ -12,6 +12,8 @@ from insdel.core import (
     RunProfile,
     Word,
     _lcs_bits,
+    _lcs_recurrence,
+    _match_table,
     count_runs,
     format_word,
     hamming_weight,
@@ -77,6 +79,23 @@ def test_lcs_matches_full_matrix_reference(pair):
     for j in range(len(b) + 1):
         prefix_lcs = j - (bits & ((1 << j) - 1)).bit_count()
         assert prefix_lcs == lcs_ref(a.symbols, b.symbols[:j])
+
+
+@given(st.integers(2, 5).flatmap(lambda q: st.tuples(
+    st.lists(st.integers(0, q - 1), max_size=40),
+    st.lists(st.lists(st.integers(0, q + 1), max_size=40), min_size=1, max_size=6),
+)))
+def test_one_match_table_serves_every_query(case):
+    """A table built once answers each later query like the full matrix does.
+
+    Queries may hold symbols absent from the table's word (up to q+1).
+    """
+    ys, queries = case
+    ys = tuple(ys)
+    table = _match_table(ys)
+    for xs in map(tuple, queries):
+        assert len(ys) - _lcs_recurrence(xs, table).bit_count() == lcs_ref(xs, ys)
+        assert _lcs_recurrence(xs, table) == _lcs_bits(xs, ys)
 
 
 def test_distance_known_values():
@@ -166,6 +185,20 @@ def test_word_slicing_keeps_alphabet():
     assert w[1:3] == word((1, 2), 3)
     assert w[0] == 0
     assert list(w) == [0, 1, 2, 1]
+
+
+@given(
+    words_strategy(max_q=16, max_len=12),
+    st.integers(-14, 14) | st.none(),
+    st.integers(-14, 14) | st.none(),
+    st.sampled_from([None, 1, 2, 3, -1, -2]),
+)
+def test_word_slices_equal_validated_words(w, start, stop, step):
+    piece = w[start:stop:step]
+    validated = Word(w.symbols[start:stop:step], w.q)
+    assert piece == validated
+    assert hash(piece) == hash(validated)
+    assert type(piece.symbols) is tuple
 
 
 def test_format_small_alphabet_is_digit_string():

@@ -1,5 +1,8 @@
 """List decoding, ball certification, and the Reed-Solomon outer code."""
 
+import itertools
+from fractions import Fraction
+
 import pytest
 
 from insdel.codes import Code, philox_generator, sample_random_code
@@ -224,6 +227,37 @@ def test_list_recover_capacity_guard():
     code = RSCode(p=101, k=3, points=(0, 1, 2))
     with pytest.raises(CapacityError):
         brute_force_list_recover(code, [frozenset()] * 3, alpha=0.0)
+    with pytest.raises(CapacityError):
+        code.codebook
+    assert "codebook" not in code.__dict__
+
+
+def test_rs_codebook_is_every_codeword_in_message_order():
+    code = RSCode(p=5, k=2, points=(0, 1, 2, 3))
+    assert "codebook" not in code.__dict__
+    expected = [rs_encode(code, m) for m in itertools.product(range(5), repeat=2)]
+    assert list(code.codebook) == expected
+    assert code.codebook is code.codebook
+    assert code == RSCode(p=5, k=2, points=(0, 1, 2, 3))
+
+
+def test_list_recover_threshold_is_exact():
+    """Keep a codeword on ceil(alpha*N) agreements, drop it on one fewer.
+
+    alpha*N = 2 + 4e-13 here: a float threshold with a 1e-12 slack would
+    keep a codeword that agrees on only two of the four positions.
+    """
+    code = RSCode(p=5, k=2, points=(0, 1, 2, 3))
+    target = rs_encode(code, (1, 2))
+    alpha = Fraction(1, 2) + Fraction(1, 10 ** 13)
+
+    def agreeing_on(count):
+        return [frozenset({s}) if i < count else frozenset() for i, s in enumerate(target)]
+
+    assert target in brute_force_list_recover(code, agreeing_on(3), alpha)
+    assert target not in brute_force_list_recover(code, agreeing_on(2), alpha)
+    assert target in brute_force_list_recover(code, agreeing_on(2), Fraction(1, 2))
+    assert target in brute_force_list_recover(code, agreeing_on(2), "1/2")
 
 
 def test_list_recover_validation():
