@@ -3,9 +3,9 @@
 Closed forms (entropy, Singleton, GV-type, fixed-fraction random-code
 rates for general and binary alphabets, insertion-only / deletion-only
 specializations, linear variants, the large-alphabet limit) plus the
-two optimizers: worst-case split of a combined error budget tau over
-insertions and deletions, and the Zyablov-style outer/inner rate split
-for concatenated codes.
+optimizations built on them: the worst-case split of a combined error
+budget tau over insertions and deletions, and the Zyablov-style
+outer/inner rate split for concatenated codes.
 
 Conventions shared by every rate function here:
 
@@ -14,20 +14,20 @@ Conventions shared by every rate function here:
   [0, (q-1)/q) unless a function documents otherwise.
 * epsilon is subtracted at the end of each formula, exactly as written,
   and never folded into entropy arguments.
-* Optimizers run a deterministic grid search (default 2048 points)
-  followed by Brent's bounded method (golden-section search with
-  parabolic interpolation; Brent, *Algorithms for Minimization without
-  Derivatives*, 1973) on the winning bracket.  Everything is plain
-  float arithmetic in a fixed order, so results are reproducible bit
-  for bit.
+* Every optimization goes through one helper, :func:`_grid_min`: a
+  deterministic grid search (default 2048 points) followed by Brent's
+  bounded method (golden-section search with parabolic interpolation;
+  Brent, *Algorithms for Minimization without Derivatives*, 1973) on
+  the winning bracket.  Everything is plain float arithmetic in a fixed
+  order, so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import cache, lru_cache, partial
 from typing import NamedTuple
 
 from .codes import Code
@@ -190,6 +190,9 @@ def _rate_q3_raw(q: int, gamma: float, kappa: float, epsilon: float) -> float:
     )
 
 
+_Q3_ONLY = "random_rate_q3 requires q >= 3; use random_rate_binary"
+
+
 def random_rate_q3(q: int, gamma: float, kappa: float, epsilon: float) -> RatePoint:
     """Achievable rate of a uniformly random code against a fixed split.
 
@@ -197,12 +200,8 @@ def random_rate_q3(q: int, gamma: float, kappa: float, epsilon: float) -> RatePo
     :func:`random_rate_binary`.  List size scales as O(1/epsilon).
     """
     if q < 3:
-        raise DomainError("random_rate_q3 requires q >= 3; use random_rate_binary")
-    if epsilon < 0:
-        raise DomainError("epsilon must be nonnegative")
-    ChannelSpec(q, gamma, kappa)
-    raw = _rate_q3_raw(q, gamma, kappa, epsilon)
-    return RatePoint(x=gamma + kappa, rate=_clamp01(raw), raw=raw, list_size_class="constant")
+        raise DomainError(_Q3_ONLY)
+    return _fixed_split_rate(q, gamma, kappa, epsilon)
 
 
 def theta_binary(gamma: float, kappa: float) -> float:
@@ -246,10 +245,24 @@ def random_rate_binary(gamma: float, kappa: float, epsilon: float) -> RatePoint:
     Requires gamma + kappa <= 1; beyond that the final entropy argument
     exceeds 1 and an :class:`OutOfRegimeError` is raised.
     """
+    return _fixed_split_rate(2, gamma, kappa, epsilon)
+
+
+def _fixed_split_formula(q: int):
+    """Raw rate (gamma, kappa, epsilon) -> float: the binary formula at q = 2, else q >= 3."""
+    if q == 2:
+        return _rate_binary_raw
+    return partial(_rate_q3_raw, q)
+
+
+def _fixed_split_rate(q: int, gamma: float, kappa: float, epsilon: float) -> RatePoint:
+    """Checked fixed-split rate point for q = 2 or any q >= 3."""
+    if q < 3 and q != 2:
+        raise DomainError(_Q3_ONLY)
     if epsilon < 0:
         raise DomainError("epsilon must be nonnegative")
-    ChannelSpec(2, gamma, kappa)
-    raw = _rate_binary_raw(gamma, kappa, epsilon)
+    ChannelSpec(q, gamma, kappa)
+    raw = _fixed_split_formula(q)(gamma, kappa, epsilon)
     return RatePoint(x=gamma + kappa, rate=_clamp01(raw), raw=raw, list_size_class="constant")
 
 
@@ -357,17 +370,27 @@ def _bounded_min(fun, lo: float, hi: float) -> tuple[float, float]:
     return xf, fx
 
 
-def _refined_min(fun, grid_pts: list[float], values: list[float]) -> tuple[float, float]:
-    """Best grid point improved by Brent's bounded method on its bracket."""
-    best = values.index(min(values))
-    x_best, v_best = grid_pts[best], values[best]
-    lo = grid_pts[max(0, best - 1)]
-    hi = grid_pts[min(len(grid_pts) - 1, best + 1)]
-    if hi > lo:
-        x, v = _bounded_min(fun, lo, hi)
+def _grid_min(fun, lo: float, hi: float, grid: int) -> tuple[float, float, float]:
+    """Minimize fun on [lo, hi]: (x, fun(x), smallest grid value).
+
+    Evaluates fun on ``grid`` evenly spaced points, then refines the first
+    smallest one with Brent's bounded method on the bracket between its
+    neighbours, keeping the refined point only if it is strictly lower.
+    """
+    if grid < 1:
+        raise DomainError(f"grid resolution must be at least 1, got {grid}")
+    pts = _linspace(lo, hi, grid)
+    values = [fun(x) for x in pts]
+    v_grid = min(values)
+    best = values.index(v_grid)
+    x_best, v_best = pts[best], v_grid
+    a = pts[max(0, best - 1)]
+    b = pts[min(grid - 1, best + 1)]
+    if b > a:
+        x, v = _bounded_min(fun, a, b)
         if v < v_best:
             x_best, v_best = x, v
-    return x_best, v_best
+    return x_best, v_best, v_grid
 
 
 def _segment_min(
@@ -375,16 +398,13 @@ def _segment_min(
 ) -> tuple[float, float, float]:
     """Worst-case split: (min raw rate, gamma, kappa) on gamma + kappa = tau."""
     lo, hi = _segment_bounds(q, tau)
+    formula = _fixed_split_formula(q)
 
     def raw_at(kappa: float) -> float:
         kappa = min(max(kappa, lo), hi)
-        if q == 2:
-            return _rate_binary_raw(tau - kappa, kappa, epsilon)
-        return _rate_q3_raw(q, tau - kappa, kappa, epsilon)
+        return formula(tau - kappa, kappa, epsilon)
 
-    pts = _linspace(lo, hi, grid)
-    values = [raw_at(k) for k in pts]
-    k_best, v_best = _refined_min(raw_at, pts, values)
+    k_best, v_best, _ = _grid_min(raw_at, lo, hi, grid)
     return v_best, tau - k_best, k_best
 
 
@@ -412,12 +432,7 @@ def random_rate_tau_binary(
 
 def rate_insertion_only(q: int, gamma: float, epsilon: float) -> RatePoint:
     """Insertion-only specialization (kappa = 0) for any q >= 2."""
-    point = (
-        random_rate_binary(gamma, 0.0, epsilon)
-        if q == 2
-        else random_rate_q3(q, gamma, 0.0, epsilon)
-    )
-    return RatePoint(x=gamma, rate=point.rate, raw=point.raw, list_size_class="constant")
+    return replace(_fixed_split_rate(q, gamma, 0.0, epsilon), x=gamma)
 
 
 def rate_deletion_only(q: int, kappa: float, epsilon: float) -> RatePoint:
@@ -445,12 +460,7 @@ def rate_deletion_only(q: int, kappa: float, epsilon: float) -> RatePoint:
 
 def linear_rate_variants(q: int, gamma: float, kappa: float, epsilon: float) -> RatePoint:
     """Linear-code rates: same formulas, exponentially larger list size."""
-    point = (
-        random_rate_binary(gamma, kappa, epsilon)
-        if q == 2
-        else random_rate_q3(q, gamma, kappa, epsilon)
-    )
-    return RatePoint(x=point.x, rate=point.rate, raw=point.raw, list_size_class="exponential")
+    return replace(_fixed_split_rate(q, gamma, kappa, epsilon), list_size_class="exponential")
 
 
 def large_q_rate(kappa: float, epsilon: float) -> RatePoint:
@@ -553,8 +563,7 @@ def zyablov_tau(query: ZyablovQuery) -> ZyablovPoint:
     Grid search over R_out with bounded refinement, then a bisection
     inversion at the winner for full precision.
     """
-    q, R, eps, grid = query.q, query.R, query.epsilon, query.grid
-    _tau_rate_table(q)
+    q, R, eps = query.q, query.R, query.epsilon
 
     def negated_objective(r_out: float) -> float:
         r_in = R / r_out
@@ -563,11 +572,9 @@ def zyablov_tau(query: ZyablovQuery) -> ZyablovPoint:
             return 0.0
         return -(1 - r_out) * t_in
 
-    pts = _linspace(R + _EDGE, 1 - _EDGE, grid)
-    values = [negated_objective(r) for r in pts]
-    if min(values) >= 0.0:
+    r_best, _, v_grid = _grid_min(negated_objective, R + _EDGE, 1 - _EDGE, query.grid)
+    if v_grid >= 0.0:
         raise DomainError(f"no feasible outer/inner split for rate {R} over q={q}")
-    r_best, _ = _refined_min(negated_objective, pts, values)
     r_in = R / r_best
     tau_in = _f_inverse_refined(q, r_in)
     return ZyablovPoint(tau=(1 - r_best) * tau_in - eps, r_out=r_best, r_in=r_in)
@@ -585,8 +592,8 @@ def zyablov_gamma_kappa(
     epsilon (clamped at zero).
     """
     query = ZyablovQuery(q=q, R=R, epsilon=epsilon, grid=grid)
-    _tau_rate_table(q)
 
+    @cache  # both passes evaluate the same grid points
     def split_at(r_out: float) -> tuple[float, float]:
         t_in = _f_inverse_interp(q, R / r_out)
         if t_in is None:
@@ -594,14 +601,9 @@ def zyablov_gamma_kappa(
         _, g_in, k_in = _segment_min(q, t_in, 0.0, _TABLE_SEGMENT_GRID)
         return (1 - r_out) * g_in, (1 - r_out) * k_in
 
-    pts = _linspace(R + _EDGE, 1 - _EDGE, query.grid)
-    gamma_vals, kappa_vals = [], []
-    for r in pts:
-        g, k = split_at(r)
-        gamma_vals.append(-g)
-        kappa_vals.append(-k)
-    _, neg_gamma = _refined_min(lambda r: -split_at(r)[0], pts, gamma_vals)
-    _, neg_kappa = _refined_min(lambda r: -split_at(r)[1], pts, kappa_vals)
+    lo, hi = R + _EDGE, 1 - _EDGE
+    _, neg_gamma, _ = _grid_min(lambda r: -split_at(r)[0], lo, hi, query.grid)
+    _, neg_kappa, _ = _grid_min(lambda r: -split_at(r)[1], lo, hi, query.grid)
     return max(0.0, -neg_gamma - epsilon), max(0.0, -neg_kappa - epsilon)
 
 

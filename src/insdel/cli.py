@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -345,6 +346,17 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from exc
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for a finite float: nan and +-inf are argument errors."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _parse_symbols(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part != ""]
@@ -488,9 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_q(p, default=2)
     _add_out(p)
     p.add_argument("--kind", choices=CURVE_KINDS, required=True)
-    p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--start", type=float, required=True)
-    p.add_argument("--stop", type=float, required=True)
+    p.add_argument("--epsilon", type=_finite_float, default=0.0)
+    p.add_argument("--start", type=_finite_float, required=True)
+    p.add_argument("--stop", type=_finite_float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.set_defaults(func=cmd_curve)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .bounds import large_q_list_size, random_rate_binary, random_rate_q3
+from .bounds import _fixed_split_rate, large_q_list_size
 from .codes import Code, Seed, _is_prime, philox_generator, sample_random_code
 from .core import CapacityError, DomainError, FractionLike, Word, _frac, format_word
 from .core import insdel_distance
@@ -199,11 +199,7 @@ def monte_carlo_rate_experiment(
         raise DomainError("need at least one trial")
     if epsilon <= 0:
         raise DomainError("epsilon must be positive for the list-size rule")
-    point = (
-        random_rate_binary(gamma, kappa, epsilon)
-        if q == 2
-        else random_rate_q3(q, gamma, kappa, epsilon)
-    )
+    point = _fixed_split_rate(q, gamma, kappa, epsilon)
     tau = gamma + kappa
     radius = math.floor(tau * n)
     L = large_q_list_size(tau, epsilon)

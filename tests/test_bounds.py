@@ -4,6 +4,7 @@ Golden constants were computed once with a 40-digit mpmath evaluation
 of the same formulas and are pinned here at double precision.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -214,6 +215,45 @@ def test_bounded_min_matches_scipy_bit_for_bit(monkeypatch):
 
     # At tau = 0 the segment is the single point kappa = 0: nothing to refine.
     assert _refined_brackets(monkeypatch, lambda: bounds._segment_min(2, 0.0, 0.0, 256)) == []
+
+
+# SHA-256 over the reprs below. Any change to a table knot, a worst-case
+# split or a refined optimum changes it, down to the last bit.
+BOUNDS_PIN = "af8fcbf6608d4a7890ad92209c0d11e6f12023a7336b041b8a1f887e18a916ef"
+
+
+def test_bounds_values_are_pinned_bit_for_bit():
+    parts = [bounds._tau_rate_table(2), bounds._tau_rate_table(3)]
+    for tau in (0.05, 0.3, 0.6, 0.95):
+        parts.append(random_rate_tau_binary(tau, 0.01, grid=256))
+        parts.append(random_rate_tau_q3(3, tau, 0.01, grid=256))
+        parts.append(random_rate_tau_q3(5, tau, 0.01, grid=256))
+    for q, R in ((2, 0.3), (2, 0.6), (3, 0.5)):
+        parts.append(zyablov_tau(ZyablovQuery(q=q, R=R, epsilon=0.01, grid=256)))
+    parts.append(zyablov_gamma_kappa(2, 0.3, 0.01, grid=64))
+    digest = hashlib.sha256("\n".join(map(repr, parts)).encode()).hexdigest()
+    assert digest == BOUNDS_PIN
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: random_rate_tau_q3(3, 0.2, 0.0, grid=0),
+        lambda: random_rate_tau_q3(4, 0.2, 0.0, grid=-1),
+        lambda: random_rate_tau_binary(0.2, 0.0, grid=0),
+        lambda: random_rate_tau_binary(0.2, 0.0, grid=-3),
+    ],
+    ids=["q3-zero", "q3-negative", "binary-zero", "binary-negative"],
+)
+def test_nonpositive_grid_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="grid resolution must be at least 1"):
+        call()
+
+
+def test_single_point_grid_is_the_segment_start():
+    # One grid point is kappa = 0 (all insertions), with nothing to refine.
+    assert random_rate_tau_q3(3, 0.2, 0.0, grid=1) == random_rate_q3(3, 0.2, 0.0, 0.0)
+    assert random_rate_tau_binary(0.2, 0.0, grid=1) == random_rate_binary(0.2, 0.0, 0.0)
 
 
 def test_tau_rates_decrease_with_radius():

@@ -343,6 +343,18 @@ def test_zyablov_curve_rejects_epsilon_outside_unit_interval():
     assert main(["curve", "--kind", "gv", "--epsilon", "0", "--start", "0", "--stop", "0.1", "--steps", "2"]) == 0
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--epsilon", "--start", "--stop"])
+def test_curve_rejects_non_finite_floats(flag, value):
+    given = {"--epsilon": "0", "--start": "0", "--stop": "0.2", flag: value}
+    # --flag=value keeps argparse from reading "-inf" as an option name.
+    result = run_cli("curve", "--kind", "random_binary", "--steps", "2", *(f"{k}={v}" for k, v in given.items()))
+    assert result.returncode == 2
+    assert f"error: argument {flag}: not a finite number" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
 def test_sampled_certify_beyond_int64_centers(tmp_path):
     # n = 40, tau_n = 30 gives sum(2**m for m in 10..70) > 2**63 candidate centers.
     code_file = tmp_path / "big.json"
