@@ -19,10 +19,14 @@ as Fraction, int, or string ("2/5"); floats are accepted and converted
 via their shortest decimal representation.
 
 The decoder computes each invariant at the level where it stops
-changing: the LCS kernel's match table once per window start (shared
-by every inner-domain word), the outer code's codebook once per
-RSCode, and the re-encoded list words without re-validating symbols
-that come from already-validated inner words.
+changing: one LCS match table over every inner-domain word, each word
+in its own lane of a big integer, once per ConcatParams; the outer
+code's codebook once per RSCode; and the re-encoded list words without
+re-validating symbols that come from already-validated inner words.
+The scan then runs one bit-parallel LCS recurrence per window start,
+over the longest window content there, which advances every domain
+word at once; each window length reads the vector after that many
+symbols and tests all lanes against the inner radius in one gate.
 """
 
 from __future__ import annotations
@@ -32,11 +36,12 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .codes import Code, Seed, sample_word_sequence
 from .core import BoundViolationError, DomainError, InsdelError, RegimeWarning, Word
-from .core import FractionLike, _frac, _lcs_recurrence, _match_table, insdel_distance
+from .core import FractionLike, _flagged_lanes, _frac, _lane_gate, _lane_width, _lcs_steps
+from .core import _packed_match_table, insdel_distance
 from .decode import RSCode, brute_force_list_recover, rs_encode
 
 
@@ -235,6 +240,17 @@ class ConcatParams:
     @cached_property
     def inner_radius(self) -> int:
         return math.floor(self.tau_in * self.n)
+
+    @cached_property
+    def inner_lanes(self) -> tuple[tuple[dict[int, int], int], Callable[[int, int], int]]:
+        """Packed LCS match table over every inner-encoder word, and its gate.
+
+        Lane k holds inner.words[k], the word of (index, sym) with
+        divmod(k, symbol_count) = (index - 1, sym).  Built on the first
+        decode, then shared by every window start of every decode.
+        """
+        words = [w.symbols for w in self.inner.words]
+        return _packed_match_table(words, self.n), _lane_gate(self.n, len(words))
 
     def index_for_position(self, i: int) -> int:
         """Cyclic encoder index carried by block position i (1-based)."""
@@ -440,52 +456,58 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
     windows = build_windows(params, M)
     n = params.n
     inner_radius = params.inner_radius
-    E = params.eps_cont_N
+    E, p = params.eps_cont_N, params.outer.p
+    width = _lane_width(n)
+    table, gate = params.inner_lanes
+    # Lanes index*p .. index*p + p - 1 carry the words of one encoder index.
+    index_lanes = [((1 << p * width) - 1) << i * p * width for i in range(E)]
     r_syms = r.symbols
-    lists: list[set[int]] = [set() for _ in range(params.N)]
-    domain = [(index, sym, codeword.symbols) for index, sym, codeword in params.inner.domain()]
+    # hit_lanes[j] gathers the gate flags of every (index, sym) lane hit
+    # by a window that position j is feasible for.
+    hit_lanes = [0] * params.N
     jn_cache: dict[tuple[int, int, int], set[int]] = {}
     match_total = 0
     max_inner_list = 0
 
-    by_phi: dict[int, list[Window]] = {}
+    by_phi: dict[int, dict[int, list[tuple[int, int]]]] = {}
     for win in windows:
-        by_phi.setdefault(win.phi, []).append(win)
-    # Groups run in phi order: the position lists are equal in any order,
-    # but the order in which symbols first enter a set fixes how it prints.
-    for phi in sorted(by_phi):
-        group = by_phi[phi]
-        longest = max(win.lambda_len for win in group)
-        table = _match_table(r_syms[phi : phi + longest])
-        # A domain word hits a window of length L when n + L - 2*lcs <=
-        # inner_radius, i.e. when the L low bits of its vector hold at most
-        # (inner_radius - n + L) // 2 set bits (lcs = L - that count).
-        gates = [
-            ((1 << win.lambda_len) - 1, (inner_radius - n + win.lambda_len) // 2, win.lam, win.mu)
-            for win in group
-        ]
-        hits = [0] * len(gates)
-        for index, sym, symbols in domain:
-            bits = _lcs_recurrence(symbols, table)
-            for k, (low, most, lam, mu) in enumerate(gates):
-                if (bits & low).bit_count() > most:
-                    continue
-                hits[k] += 1
-                key = (index - 1, lam, mu)
-                positions = jn_cache.get(key)
-                if positions is None:
-                    positions = feasible_jN(index - 1, lam, mu, params, M)
-                    jn_cache[key] = positions
-                for j_N in positions:
-                    lists[index - 1 + j_N * E].add(sym)
-        match_total += sum(hits)
-        max_inner_list = max(max_inner_list, *hits)
+        by_phi.setdefault(win.phi, {}).setdefault(win.lambda_len, []).append((win.lam, win.mu))
+    for phi, by_len in by_phi.items():
+        content = r_syms[phi : phi + max(by_len)]
+        for L, v in enumerate(_lcs_steps(content, table)):
+            group = by_len.get(L)
+            if group is None:
+                continue
+            # An inner word hits a window of length L when n + L - 2*lcs
+            # <= inner_radius, i.e. when its lane holds at most this many
+            # set bits (n - lcs of them).
+            flags = gate(v, (inner_radius + n - L) // 2)
+            hits = flags.bit_count()
+            match_total += hits * len(group)
+            max_inner_list = max(max_inner_list, hits)
+            if not hits:
+                continue
+            for lam, mu in group:
+                for i in range(E):
+                    part = flags & index_lanes[i]
+                    if not part:
+                        continue
+                    key = (i, lam, mu)
+                    positions = jn_cache.get(key)
+                    if positions is None:
+                        positions = feasible_jN(i, lam, mu, params, M)
+                        jn_cache[key] = positions
+                    for j_N in positions:
+                        hit_lanes[i + j_N * E] |= part
 
+    lists = [[k % p for k in _flagged_lanes(bits, width)] for bits in hit_lanes]
     mass = sum(len(entries) for entries in lists)
     cap = len(windows) * max_inner_list * (params.tau / params.eps_cont + 1)
     if mass > cap:
         raise BoundViolationError("position-list mass exceeded the window-count bound")
-    frozen = tuple(frozenset(entries) for entries in lists)
+    # A frozenset prints colliding symbols in insertion order; inserting
+    # in sorted order makes the printed report independent of scan order.
+    frozen = tuple(frozenset(sorted(entries)) for entries in lists)
     outer_hits = brute_force_list_recover(
         params.outer, frozen, params.alpha_out, ell=params.ell_out
     )

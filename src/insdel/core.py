@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class InsdelError(Exception):
@@ -173,13 +173,111 @@ def _match_table(ys: tuple[int, ...]) -> tuple[dict[int, int], int]:
     return match, (1 << len(ys)) - 1
 
 
-def _lcs_recurrence(xs: tuple[int, ...], table: tuple[dict[int, int], int]) -> int:
-    """Bit vector V of xs against the word the match table was built over."""
+def _lane_width(n: int) -> int:
+    """Bits per lane for words of length n: the least power of two >= max(n+1, 8).
+
+    Bit n of every lane stays clear, so it absorbs the one carry a lane's
+    addition can produce, and whole bytes per lane let the lane popcount
+    of :func:`_lane_gate` start from byte counts.
+    """
+    return max(8, 1 << n.bit_length())
+
+
+def _lane_ones(width: int, lanes: int) -> int:
+    """The integer with bit k*width set for each k below lanes."""
+    return ((1 << width * lanes) - 1) // ((1 << width) - 1)
+
+
+def _packed_match_table(
+    words: Sequence[tuple[int, ...]], n: int
+) -> tuple[dict[int, int], int]:
+    """One match table over many words of length n, word k in lane k.
+
+    Lane k is bits [k*P, k*P + n) with P = _lane_width(n); within it the
+    layout is that of _match_table(words[k]), and mask covers the n low
+    bits of every lane.  One run of :func:`_lcs_steps` over xs then
+    advances the recurrence of xs against every word at once: masking
+    after each step drops the carry into bit n of a lane, which goes no
+    further because bit n is clear in both summands, and v - u never
+    borrows because u is a subset of v.
+    """
+    width = _lane_width(n)
+    match: dict[int, int] = {}
+    for k, ys in enumerate(words):
+        if len(ys) != n:
+            raise BoundViolationError(f"packed word {k} has length {len(ys)}, not {n}")
+        for j, y in enumerate(ys, start=k * width):
+            match[y] = match.get(y, 0) | 1 << j
+    return match, ((1 << n) - 1) * _lane_ones(width, len(words))
+
+
+def _lane_gate(n: int, lanes: int) -> Callable[[int, int], int]:
+    """Test every lane of a packed LCS vector against one set-bit budget.
+
+    The returned gate(v, most) has the top bit of lane k set exactly
+    when lane k of v holds at most `most` set bits, i.e. when
+    n - lcs(words[k], xs) <= most for the xs that produced v.  It
+    counts each lane's bits by sideways addition (byte counts, then
+    log2(P/8) folds that add neighbouring halves) and adds the bias
+    2**(P-1) - 1 - most to every lane, whose top bit is then set
+    exactly when the count exceeds `most`.  No sum leaves its lane:
+    counts stay at most n and the bias below 2**(P-1).
+    """
+    width = _lane_width(n)
+    bits = width * lanes
+    ones = _lane_ones(width, lanes)
+    top = ones << width - 1
+    half = (1 << width - 1) - 1
+    bytes_ = _lane_ones(8, bits // 8)
+    m1, m2, m4 = 0x55 * bytes_, 0x33 * bytes_, 0x0F * bytes_
+    # Fold s adds the high half of each 2s-bit block into its low half.
+    folds = [
+        (s, ((1 << s) - 1) * _lane_ones(2 * s, bits // (2 * s)))
+        for s in (8 << i for i in range((width // 8).bit_length() - 1))
+    ]
+
+    def gate(v: int, most: int) -> int:
+        if most < 0:
+            return 0
+        if most >= n:
+            return top
+        v -= (v >> 1) & m1
+        v = (v & m2) + ((v >> 2) & m2)
+        v = (v + (v >> 4)) & m4
+        for shift, keep in folds:
+            v = (v + (v >> shift)) & keep
+        return ~(v + (half - most) * ones) & top
+
+    return gate
+
+
+def _flagged_lanes(flags: int, width: int) -> Iterator[int]:
+    """Lane numbers, ascending, of the set bits of flags (one per lane)."""
+    while flags:
+        low = flags & -flags
+        yield (low.bit_length() - 1) // width
+        flags ^= low
+
+
+def _lcs_steps(xs: tuple[int, ...], table: tuple[dict[int, int], int]) -> Iterator[int]:
+    """Bit vector V of xs[:L] against the table's word(s), for L = 0..len(xs).
+
+    The one Hyyrö step of the package: each symbol of xs costs a mask,
+    an addition, a subtraction and an or on the whole vector.
+    """
     match, mask = table
     v = mask
+    yield v
     for x in xs:
         u = v & match.get(x, 0)
         v = ((v + u) | (v - u)) & mask
+        yield v
+
+
+def _lcs_recurrence(xs: tuple[int, ...], table: tuple[dict[int, int], int]) -> int:
+    """Bit vector V of xs against the word the match table was built over."""
+    for v in _lcs_steps(xs, table):
+        pass
     return v
 
 

@@ -1,7 +1,9 @@
 """The indexed concatenation pipeline, end to end at desk scale."""
 
 import dataclasses
+import hashlib
 import json
+import random
 import warnings
 from fractions import Fraction
 
@@ -72,6 +74,33 @@ def full_budget_channel(params: ConcatParams, seed: int):
             remaining -= 1
     received, _ = adversarial_block_channel(sent, params.n, budgets, seed)
     return sent, received
+
+
+def random_budget_channel(params: ConcatParams, seed: int):
+    """Encode a random message and spend a random budget of at most the radius.
+
+    Draws, in order, from random.Random(seed): the budget in [0, radius],
+    the message, the blocks (one edit at a time, each capped at 2n) and
+    the channel seed.  Returns the received word.
+    """
+    rng = random.Random(seed)
+    remaining = rng.randrange(params.radius + 1)
+    message = [rng.randrange(params.outer.p) for _ in range(params.outer.k)]
+    budgets = [0] * params.N
+    while remaining:
+        pick = rng.randrange(params.N)
+        if budgets[pick] < 2 * params.n:
+            budgets[pick] += 1
+            remaining -= 1
+    sent = concat_encode_message(params, message)
+    received, _ = adversarial_block_channel(sent, params.n, budgets, rng.randrange(2**63))
+    return received
+
+
+# DESK_FRACTIONAL seeds of random_budget_channel whose position lists
+# hold colliding symbols, so their printed order follows insertion order
+# unless the lists are built sorted.
+COLLIDING_SEEDS = (112, 591)
 
 
 def full_budget_roundtrip(params: ConcatParams, seed: int):
@@ -353,27 +382,49 @@ def test_sharp_instance_lists_are_short_and_contain_the_sent_word():
 
 @pytest.mark.parametrize("instance, seeds", [(DESK, range(4)), (SHARP, range(2))], ids=["desk", "sharp"])
 def test_inner_scan_counts_match_full_matrix_reference(instance, seeds):
-    """Recount the inner scan window by window with oracles.lcs_ref.
+    """Redo the inner scan window by window with oracles.lcs_ref.
 
     A domain word hits a grid window when n + len - 2*lcs <= inner_radius;
     the report's inner_match_total and max_inner_list must equal the
     totals of that direct scan, which shares no code with the decoder's
-    match tables.
+    match tables.  Each hit's symbol, entered at every position
+    oracles.brute_feasible allows, must rebuild the position lists.
     """
     params = make_concat_params(**instance)
-    n, inner_radius = params.n, params.inner_radius
+    n, inner_radius, E = params.n, params.inner_radius, params.eps_cont_N
     for seed in seeds:
         _, received = full_budget_channel(params, seed)
+        M = len(received)
         hits = []
-        for win in build_windows(params, len(received)):
+        lists = [set() for _ in range(params.N)]
+        for win in build_windows(params, M):
             content = win.content(received).symbols
-            hits.append(sum(
-                n + len(content) - 2 * lcs_ref(codeword.symbols, content) <= inner_radius
-                for codeword in params.inner.words
-            ))
+            hit = [
+                (index - 1, sym)
+                for index, sym, codeword in params.inner.domain()
+                if n + len(content) - 2 * lcs_ref(codeword.symbols, content) <= inner_radius
+            ]
+            hits.append(len(hit))
+            for i, sym in hit:
+                for j_N in brute_feasible(i, win.lam, win.mu, params, M):
+                    lists[i + j_N * E].add(sym)
         report = list_decode_concat_detailed(params, received)
         assert report.window_count == len(hits), seed
         assert (report.inner_match_total, report.max_inner_list) == (sum(hits), max(hits)), seed
+        assert [set(entries) for entries in report.position_lists] == lists, seed
+
+
+def test_position_lists_print_in_sorted_order(desk_fractional):
+    """Lists with colliding symbols print as if built in ascending order.
+
+    Their frozenset repr then depends on the lists' contents only, not on
+    the order the decoder's scan first met each symbol.
+    """
+    for seed in COLLIDING_SEEDS:
+        received = random_budget_channel(desk_fractional, seed)
+        report = list_decode_concat_detailed(desk_fractional, received)
+        for entries in report.position_lists:
+            assert repr(entries) == repr(frozenset(sorted(entries))), seed
 
 
 def test_single_block_corruption_recovers(desk_params):
@@ -444,3 +495,26 @@ def test_params_json_needs_sampled_inner(desk_params):
     )
     with pytest.raises(DomainError):
         params_to_json_dict(manual)
+
+
+def test_decode_reports_are_pinned(desk_params, host_n6, desk_fractional):
+    """One SHA-256 over the repr of 50 detailed decode reports.
+
+    Covers seeds 0-11 at the full budget on four instances plus the two
+    random-budget cases with colliding symbols; any change to the
+    decoder's output, its bookkeeping or how a report prints moves it.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sharp = make_concat_params(**SHARP)
+    digest = hashlib.sha256()
+    for params in (desk_params, sharp, host_n6, desk_fractional):
+        for seed in range(12):
+            _, received = full_budget_channel(params, seed)
+            digest.update(repr(list_decode_concat_detailed(params, received)).encode())
+    for seed in COLLIDING_SEEDS:
+        received = random_budget_channel(desk_fractional, seed)
+        digest.update(repr(list_decode_concat_detailed(desk_fractional, received)).encode())
+    assert digest.hexdigest() == (
+        "92323e9c67b096307c08cb6113d47c70a688d0f7a8b66c1fa9e94486cba58b65"
+    )

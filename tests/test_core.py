@@ -8,12 +8,18 @@ from hypothesis import strategies as st
 
 from insdel.core import (
     AlphabetMismatchError,
+    BoundViolationError,
     DomainError,
     RunProfile,
     Word,
+    _flagged_lanes,
+    _lane_gate,
+    _lane_width,
     _lcs_bits,
     _lcs_recurrence,
+    _lcs_steps,
     _match_table,
+    _packed_match_table,
     count_runs,
     format_word,
     hamming_weight,
@@ -96,6 +102,89 @@ def test_one_match_table_serves_every_query(case):
     for xs in map(tuple, queries):
         assert len(ys) - _lcs_recurrence(xs, table).bit_count() == lcs_ref(xs, ys)
         assert _lcs_recurrence(xs, table) == _lcs_bits(xs, ys)
+
+
+def check_lanes(words, xs):
+    """Packed table, stepwise recurrence and lane gate against lcs_ref.
+
+    After every prefix xs[:L], L = 0 included, lane k must hold the
+    vector of xs[:L] against words[k] (one cleared bit per LCS symbol of
+    each prefix of words[k], nothing above bit n, nothing between lanes),
+    and the gate must flag exactly the lanes with at most `most` set
+    bits, for every budget from below zero to above n.
+    """
+    n = len(words[0])
+    width = _lane_width(n)
+    lane_bits = (1 << width) - 1
+    table = _packed_match_table(words, n)
+    gate = _lane_gate(n, len(words))
+    vectors = list(_lcs_steps(xs, table))
+    assert len(vectors) == len(xs) + 1
+    for L, v in enumerate(vectors):
+        assert v >> width * len(words) == 0
+        counts = []
+        for k, ys in enumerate(words):
+            lane = v >> k * width & lane_bits
+            assert lane >> n == 0
+            for j in range(n + 1):
+                prefix_lcs = j - (lane & ((1 << j) - 1)).bit_count()
+                assert prefix_lcs == lcs_ref(xs[:L], ys[:j])
+            counts.append(lane.bit_count())
+        for most in range(-2, n + 2):
+            expected = sum(
+                1 << k * width + width - 1 for k, count in enumerate(counts) if count <= most
+            )
+            assert gate(v, most) == expected, (L, most)
+            assert list(_flagged_lanes(expected, width)) == [
+                k for k, count in enumerate(counts) if count <= most
+            ]
+
+
+def test_lane_width_is_the_least_power_of_two_above_n_and_seven():
+    for n in range(0, 70):
+        width = _lane_width(n)
+        assert width & (width - 1) == 0
+        assert width >= max(n + 1, 8)
+        assert width == 8 or width // 2 < n + 1
+    assert [_lane_width(n) for n in (3, 7, 8, 15, 16)] == [8, 8, 16, 16, 32]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 15, 16])
+def test_lanes_of_repeated_symbols(n):
+    """All-equal words and windows give the longest carry runs in a lane.
+
+    n = 7 and 15 fill a lane up to its spare bit (n + 1 = P), n = 16
+    doubles P, n <= 3 uses the minimum lane of one byte; symbol 3 occurs
+    in no word.
+    """
+    words = [(0,) * n, (1,) * n, (0,) * (n - 1) + (1,), (1,) + (0,) * (n - 1), (2,) * n]
+    for xs in [(0,) * (2 * n + 1), (1,) * n + (0,) * n, (3,) * (n + 2), (0, 3, 1, 3, 2) * 2, ()]:
+        check_lanes(words, xs)
+
+
+@given(
+    st.sampled_from([1, 2, 3, 6, 7, 8, 15, 16, 17]).flatmap(
+        lambda n: st.integers(2, 4).flatmap(
+            lambda q: st.tuples(
+                st.lists(
+                    st.lists(st.integers(0, q - 1), min_size=n, max_size=n).map(tuple),
+                    min_size=1,
+                    max_size=6,
+                ),
+                # Symbols q and q+1 occur in no word.
+                st.lists(st.integers(0, q + 1), max_size=2 * n + 2).map(tuple),
+            )
+        )
+    )
+)
+def test_lanes_match_full_matrix_reference(case):
+    words, xs = case
+    check_lanes(words, xs)
+
+
+def test_packed_table_rejects_a_word_that_overflows_its_lane():
+    with pytest.raises(BoundViolationError):
+        _packed_match_table([(0, 1, 0), (1, 0, 1, 1)], 3)
 
 
 def test_distance_known_values():
