@@ -19,6 +19,7 @@ from .core import (
     CapacityError,
     DomainError,
     Word,
+    _power_exceeds,
     format_word,
     insdel_distance,
     iter_words,
@@ -161,8 +162,8 @@ def sample_random_linear_code(q: int, n: int, k: int, seed: Seed) -> LinearCode:
         raise DomainError(f"linear codes need a prime alphabet size, got {q}")
     if not 0 <= k <= n:
         raise DomainError(f"dimension k={k} must lie in [0, n={n}]")
-    if q ** k > _LINEAR_SPAN_LIMIT:
-        raise CapacityError(f"span size q^k = {q ** k} exceeds limit {_LINEAR_SPAN_LIMIT}")
+    if _power_exceeds(q, k, _LINEAR_SPAN_LIMIT):
+        raise CapacityError(f"span size q^k = {q}^{k} exceeds limit {_LINEAR_SPAN_LIMIT}")
     rng = philox_generator(seed)
     while True:
         matrix = [[int(v) for v in rng.integers(0, q, size=n)] for _ in range(k)]
@@ -190,8 +191,8 @@ def greedy_gv_code(q: int, n: int, d: int) -> Code:
         raise DomainError("greedy construction needs n >= 1")
     if not 0 < d <= 2 * n:
         raise DomainError(f"need 0 < d <= 2n, got d={d}, n={n}")
-    if q ** n > _GREEDY_SPACE_LIMIT:
-        raise CapacityError(f"q^n = {q ** n} exceeds greedy scan limit {_GREEDY_SPACE_LIMIT}")
+    if _power_exceeds(q, n, _GREEDY_SPACE_LIMIT):
+        raise CapacityError(f"q^n = {q}^{n} exceeds greedy scan limit {_GREEDY_SPACE_LIMIT}")
     members = [Word((a,) * n, q) for a in range(q)]
     member_set = set(members)
     for cand in iter_words(q, n):

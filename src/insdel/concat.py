@@ -40,8 +40,8 @@ from typing import Callable, Iterator, Sequence
 
 from .codes import Code, Seed, sample_word_sequence
 from .core import BoundViolationError, DomainError, InsdelError, RegimeWarning, Word
-from .core import FractionLike, _flagged_lanes, _frac, _lane_gate, _lane_width, _lcs_steps
-from .core import _packed_match_table, insdel_distance
+from .core import FractionLike, _flagged_lanes, _frac, _lane_budget, _lane_gate, _lane_width
+from .core import _lcs_steps, _packed_match_table, insdel_distance
 from .decode import RSCode, brute_force_list_recover, rs_encode
 
 
@@ -465,7 +465,6 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
     # hit_lanes[j] gathers the gate flags of every (index, sym) lane hit
     # by a window that position j is feasible for.
     hit_lanes = [0] * params.N
-    jn_cache: dict[tuple[int, int, int], set[int]] = {}
     match_total = 0
     max_inner_list = 0
 
@@ -478,10 +477,7 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
             group = by_len.get(L)
             if group is None:
                 continue
-            # An inner word hits a window of length L when n + L - 2*lcs
-            # <= inner_radius, i.e. when its lane holds at most this many
-            # set bits (n - lcs of them).
-            flags = gate(v, (inner_radius + n - L) // 2)
+            flags = gate(v, _lane_budget(inner_radius, n, L))
             hits = flags.bit_count()
             match_total += hits * len(group)
             max_inner_list = max(max_inner_list, hits)
@@ -492,12 +488,7 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
                     part = flags & index_lanes[i]
                     if not part:
                         continue
-                    key = (i, lam, mu)
-                    positions = jn_cache.get(key)
-                    if positions is None:
-                        positions = feasible_jN(i, lam, mu, params, M)
-                        jn_cache[key] = positions
-                    for j_N in positions:
+                    for j_N in feasible_jN(i, lam, mu, params, M):
                         hit_lanes[i + j_N * E] |= part
 
     lists = [[k % p for k in _flagged_lanes(bits, width)] for bits in hit_lanes]

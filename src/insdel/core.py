@@ -6,6 +6,11 @@ It is computed from the longest common subsequence:
 
     dist(a, b) = len(a) + len(b) - 2 * lcs(a, b)
 
+One bit-parallel kernel computes it: a match table over equal-length
+words, each in its own lane of a big int, and one recurrence that
+advances a word against every lane.  The distance uses a one-lane table;
+certification and the concat scan gate many lanes against one radius.
+
 Deletion neighborhoods of a word are governed by its run-length
 structure, so the run decomposition helpers live here too.  A word is
 decomposed around its nonzero symbols: ``w`` counts them, and ``t``
@@ -65,6 +70,16 @@ def _frac(value: FractionLike, name: str) -> Fraction:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise DomainError(f"{name} is not a valid rational: {value!r}") from exc
+
+
+def _power_exceeds(base: int, exponent: int, limit: int) -> bool:
+    """Whether base**exponent > limit (base >= 2), never building more than limit * base."""
+    value = 1
+    for _ in range(exponent):
+        value *= base
+        if value > limit:
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -155,24 +170,6 @@ def iter_words(q: int, length: int) -> Iterator[Word]:
         yield Word(syms, q)
 
 
-def _require_same_alphabet(a: Word, b: Word) -> None:
-    if a.q != b.q:
-        raise AlphabetMismatchError(f"alphabet sizes differ: {a.q} vs {b.q}")
-
-
-def _match_table(ys: tuple[int, ...]) -> tuple[dict[int, int], int]:
-    """The half of the LCS kernel that depends only on ys.
-
-    Returns (match, mask): match[y] has bit j set iff ys[j] == y, and
-    mask has one bit per symbol of ys.  Build it once and run
-    :func:`_lcs_recurrence` against it for every xs.
-    """
-    match: dict[int, int] = {}
-    for j, y in enumerate(ys):
-        match[y] = match.get(y, 0) | 1 << j
-    return match, (1 << len(ys)) - 1
-
-
 def _lane_width(n: int) -> int:
     """Bits per lane for words of length n: the least power of two >= max(n+1, 8).
 
@@ -180,7 +177,7 @@ def _lane_width(n: int) -> int:
     addition can produce, and whole bytes per lane let the lane popcount
     of :func:`_lane_gate` start from byte counts.
     """
-    return max(8, 1 << n.bit_length())
+    return 1 << (n | 7).bit_length()
 
 
 def _lane_ones(width: int, lanes: int) -> int:
@@ -191,24 +188,37 @@ def _lane_ones(width: int, lanes: int) -> int:
 def _packed_match_table(
     words: Sequence[tuple[int, ...]], n: int
 ) -> tuple[dict[int, int], int]:
-    """One match table over many words of length n, word k in lane k.
+    """The LCS match table over words of length n, word k in lane k.
 
-    Lane k is bits [k*P, k*P + n) with P = _lane_width(n); within it the
-    layout is that of _match_table(words[k]), and mask covers the n low
-    bits of every lane.  One run of :func:`_lcs_steps` over xs then
-    advances the recurrence of xs against every word at once: masking
-    after each step drops the carry into bit n of a lane, which goes no
-    further because bit n is clear in both summands, and v - u never
-    borrows because u is a subset of v.
+    The package's only table layout.  Lane k is bits [k*P, k*P + n) with
+    P = _lane_width(n): match[y] has bit k*P + j set iff words[k][j] == y,
+    and mask covers the n low bits of every lane.  One run of
+    :func:`_lcs_steps` over xs then advances the recurrence of xs against
+    every word at once: masking after each step drops the carry into bit
+    n of a lane, which goes no further because bit n is clear in both
+    summands, and v - u never borrows because u is a subset of v.  A
+    single word is the one-lane case, the table :func:`insdel_distance` uses.
     """
     width = _lane_width(n)
     match: dict[int, int] = {}
-    for k, ys in enumerate(words):
+    start = 0
+    for ys in words:
         if len(ys) != n:
-            raise BoundViolationError(f"packed word {k} has length {len(ys)}, not {n}")
-        for j, y in enumerate(ys, start=k * width):
+            raise BoundViolationError(f"packed word {start // width} has length {len(ys)}, not {n}")
+        for j, y in enumerate(ys, start):
             match[y] = match.get(y, 0) | 1 << j
-    return match, ((1 << n) - 1) * _lane_ones(width, len(words))
+        start += width
+    # _lane_ones(width, len(words)) inlined: insdel_distance builds a
+    # one-lane table per call.
+    return match, ((1 << n) - 1) * ((1 << start) - 1) // ((1 << width) - 1)
+
+
+def _lane_budget(radius: int, n: int, length: int) -> int:
+    """The gate budget that flags the lane words within radius of a length-`length` xs.
+
+    A lane word is n + length - 2*lcs from xs and its lane holds n - lcs set bits.
+    """
+    return (radius + n - length) // 2
 
 
 def _lane_gate(n: int, lanes: int) -> Callable[[int, int], int]:
@@ -262,8 +272,11 @@ def _flagged_lanes(flags: int, width: int) -> Iterator[int]:
 def _lcs_steps(xs: tuple[int, ...], table: tuple[dict[int, int], int]) -> Iterator[int]:
     """Bit vector V of xs[:L] against the table's word(s), for L = 0..len(xs).
 
-    The one Hyyrö step of the package: each symbol of xs costs a mask,
-    an addition, a subtraction and an or on the whole vector.
+    The one Hyyrö step of the package (Allison-Dix, Hyyrö): each symbol
+    of xs costs a mask, an addition, a subtraction and an or on the whole
+    vector.  Bit j of a lane of V is clear iff ys[j] raises the LCS over
+    ys[:j], where ys is that lane's word, so LCS(xs[:L], ys[:j]) =
+    j - (lane & (2**j - 1)).bit_count() for every j.
     """
     match, mask = table
     v = mask
@@ -274,33 +287,13 @@ def _lcs_steps(xs: tuple[int, ...], table: tuple[dict[int, int], int]) -> Iterat
         yield v
 
 
-def _lcs_recurrence(xs: tuple[int, ...], table: tuple[dict[int, int], int]) -> int:
-    """Bit vector V of xs against the word the match table was built over."""
-    for v in _lcs_steps(xs, table):
-        pass
-    return v
-
-
-def _lcs_bits(xs: tuple[int, ...], ys: tuple[int, ...]) -> int:
-    """Bit-parallel LCS of xs against every prefix of ys (Allison-Dix, Hyyrö).
-
-    Returns the bit vector V over ys, one big-int addition per symbol of
-    xs.  Bit j of V is clear iff ys[j] raises the LCS over ys[:j], so
-    LCS(xs, ys[:j]) = j - (V & (2**j - 1)).bit_count() for every j.
-    """
-    return _lcs_recurrence(xs, _match_table(ys))
-
-
 def lcs_length(a: Word, b: Word) -> int:
     """Length of the longest common subsequence of two words.
 
     Both words must live over the same alphabet.  The empty word has an
     LCS of 0 with everything.
     """
-    _require_same_alphabet(a, b)
-    # The kernel loops over its first argument, so hand it the shorter word.
-    xs, ys = (a.symbols, b.symbols) if len(a) <= len(b) else (b.symbols, a.symbols)
-    return len(ys) - _lcs_bits(xs, ys).bit_count()
+    return (len(a.symbols) + len(b.symbols) - insdel_distance(a, b)) // 2
 
 
 def insdel_distance(a: Word, b: Word) -> int:
@@ -310,7 +303,17 @@ def insdel_distance(a: Word, b: Word) -> int:
     for words of equal length it is always even, and in general it is
     bounded between ``abs(len(a) - len(b))`` and ``len(a) + len(b)``.
     """
-    return len(a) + len(b) - 2 * lcs_length(a, b)
+    if a.q != b.q:
+        raise AlphabetMismatchError(f"alphabet sizes differ: {a.q} vs {b.q}")
+    # The kernel loops over its first argument, so hand it the shorter word.
+    xs, ys = a.symbols, b.symbols
+    if len(xs) > len(ys):
+        xs, ys = ys, xs
+    n = len(ys)
+    for v in _lcs_steps(xs, _packed_match_table((ys,), n)):
+        pass
+    # ys has n - lcs bits set in v, and len(xs) + n - 2 * lcs = the distance.
+    return len(xs) - n + 2 * v.bit_count()
 
 
 def count_runs(w: Word) -> int:

@@ -9,6 +9,7 @@ algebraic decoding internals are out of scope at desk scale.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -17,8 +18,8 @@ from typing import NamedTuple, Sequence
 
 from .bounds import _fixed_split_rate, large_q_list_size
 from .codes import Code, Seed, _is_prime, philox_generator, sample_random_code
-from .core import CapacityError, DomainError, FractionLike, Word, _frac, format_word
-from .core import insdel_distance
+from .core import CapacityError, DomainError, FractionLike, Word, _frac, _lane_budget, _lane_gate
+from .core import _lcs_steps, _packed_match_table, _power_exceeds, format_word, insdel_distance
 
 _CERTIFY_CENTER_LIMIT = 10 ** 7
 _RECOVER_SPAN_LIMIT = 10 ** 6
@@ -72,9 +73,9 @@ class RSCode:
         Raises CapacityError, before building anything, when p**K exceeds
         the enumeration limit.
         """
-        if self.p ** self.k > _RECOVER_SPAN_LIMIT:
+        if _power_exceeds(self.p, self.k, _RECOVER_SPAN_LIMIT):
             raise CapacityError(
-                f"p**K = {self.p ** self.k} exceeds the enumeration limit {_RECOVER_SPAN_LIMIT}"
+                f"p**K = {self.p}**{self.k} exceeds the enumeration limit {_RECOVER_SPAN_LIMIT}"
             )
         return tuple(
             rs_encode(self, message)
@@ -125,33 +126,38 @@ def certify_list_decodable(
     order, so a returned witness is the first violation in that order.
     Sampled mode draws centers with lengths weighted by q**m (matching
     the enumeration space) and requires a seed.
+
+    Both modes build one packed LCS table with a lane per codeword; each
+    center then costs one recurrence and one lane gate, and violates when
+    the gate flags more than L codewords within tau_n of it.
     """
     if tau_n < 0 or L < 1:
         raise DomainError("need tau_n >= 0 and L >= 1")
     q, n = c.q, c.n
     lengths = _admissible_lengths(n, tau_n)
+    words = [w.symbols for w in c.words]
+    table = _packed_match_table(words, n)
+    gate = _lane_gate(n, len(words))
 
-    def violates(center: Word) -> bool:
-        hits = 0
-        for w in c.words:
-            if insdel_distance(w, center) <= tau_n:
-                hits += 1
-                if hits > L:
-                    return True
-        return False
+    def violates(center: tuple[int, ...]) -> bool:
+        for v in _lcs_steps(center, table):
+            pass
+        return gate(v, _lane_budget(tau_n, n, len(center))).bit_count() > L
 
     if mode == "exhaustive":
-        total = sum(q ** m for m in lengths)
-        if total > _CERTIFY_CENTER_LIMIT:
+        # q**top bounds the total below, so a huge total is refused unbuilt.
+        top = lengths[-1]
+        if _power_exceeds(q, top, _CERTIFY_CENTER_LIMIT) or (
+            sum(q ** m for m in lengths) > _CERTIFY_CENTER_LIMIT
+        ):
             raise CapacityError(
-                f"{total} centers exceed the exhaustive limit {_CERTIFY_CENTER_LIMIT}; "
-                "use mode='sampled'"
+                f"centers of lengths {lengths[0]}..{top} over q = {q} exceed the "
+                f"exhaustive limit {_CERTIFY_CENTER_LIMIT}; use mode='sampled'"
             )
         for m in lengths:
-            for syms in itertools.product(range(q), repeat=m):
-                center = Word(syms, q)
+            for center in itertools.product(range(q), repeat=m):
                 if violates(center):
-                    return CertifyResult(ok=False, witness=center)
+                    return CertifyResult(ok=False, witness=Word(center, q))
         return CertifyResult(ok=True, witness=None)
 
     if mode != "sampled":
@@ -161,19 +167,13 @@ def certify_list_decodable(
     if samples < 1:
         raise DomainError("need at least one sample")
     rng = philox_generator(seed)
-    weights = [q ** m for m in lengths]
-    total = sum(weights)
+    # A ticket picks the first length whose running total of q**m exceeds it.
+    ends = list(itertools.accumulate(q ** m for m in lengths))
     for _ in range(samples):
-        ticket = _draw_below(rng, total)
-        m = lengths[0]
-        for length, weight in zip(lengths, weights):
-            if ticket < weight:
-                m = length
-                break
-            ticket -= weight
-        center = Word(tuple(int(v) for v in rng.integers(0, q, size=m)), q)
+        m = lengths[bisect.bisect_right(ends, _draw_below(rng, ends[-1]))]
+        center = tuple(rng.integers(0, q, size=m).tolist())
         if violates(center):
-            return CertifyResult(ok=False, witness=center)
+            return CertifyResult(ok=False, witness=Word(center, q))
     return CertifyResult(ok=True, witness=None)
 
 

@@ -20,6 +20,7 @@ from .core import (
     OutOfRegimeError,
     RunProfile,
     Word,
+    _power_exceeds,
     insdel_distance,
     iter_words,
 )
@@ -63,38 +64,40 @@ def insertion_sphere_size(n1: int, n2: int, q: int) -> int:
     return sum(_binom(n1 + n2, i) * (q - 1) ** i for i in range(n2 + 1))
 
 
+def _edit_levels(level: set[tuple], steps: int, pieces: list[tuple], cut: int) -> set[tuple]:
+    """Every tuple `steps` edits away from level, one BFS level (a set) per edit.
+
+    An edit turns syms into syms[:pos] + piece + syms[pos + cut:]: with
+    cut = 0 the one-symbol pieces insert, with cut = 1 the piece () deletes.
+    """
+    for _ in range(steps):
+        level = {
+            syms[:pos] + piece + syms[pos + cut:]
+            for syms in level
+            for pos in range(len(syms) + 1 - cut)
+            for piece in pieces
+        }
+    return level
+
+
 def enumerate_insertion_sphere(s: Word, n2: int) -> set[Word]:
     """All distinct words obtained from s by exactly n2 insertions."""
     if n2 < 0:
         raise DomainError("insertion count must be nonnegative")
-    predicted = insertion_sphere_size(len(s), n2, s.q)
-    if predicted > _ENUM_LIMIT:
-        raise CapacityError(
-            f"insertion sphere has {predicted} elements, beyond the {_ENUM_LIMIT} limit"
-        )
-    level = {s.symbols}
-    for _ in range(n2):
-        nxt = set()
-        for syms in level:
-            for pos in range(len(syms) + 1):
-                for a in range(s.q):
-                    nxt.add(syms[:pos] + (a,) + syms[pos:])
-        level = nxt
-    return {Word(syms, s.q) for syms in level}
+    # The closed form is q**n2 for the empty word and grows with len(s),
+    # so q**n2 refuses a huge sphere before its closed form is summed.
+    if _power_exceeds(s.q, n2, _ENUM_LIMIT) or insertion_sphere_size(len(s), n2, s.q) > _ENUM_LIMIT:
+        raise CapacityError(f"{n2} insertions exceed the {_ENUM_LIMIT} element limit")
+    level = _edit_levels({s.symbols}, n2, [(a,) for a in range(s.q)], 0)
+    return {Word._unchecked(syms, s.q) for syms in level}
 
 
 def enumerate_deletion_sphere(s: Word, n2: int) -> set[Word]:
     """All distinct length-(|s|-n2) subsequences of s."""
     if not 0 <= n2 <= len(s):
         raise DomainError(f"cannot delete {n2} symbols from a word of length {len(s)}")
-    level = {s.symbols}
-    for _ in range(n2):
-        nxt = set()
-        for syms in level:
-            for pos in range(len(syms)):
-                nxt.add(syms[:pos] + syms[pos + 1:])
-        level = nxt
-    return {Word(syms, s.q) for syms in level}
+    level = _edit_levels({s.symbols}, n2, [()], 1)
+    return {Word._unchecked(syms, s.q) for syms in level}
 
 
 def deletion_sphere_bounds(phi: int, n2: int) -> tuple[int, int]:
@@ -125,22 +128,21 @@ def enumerate_ball_fixed_length(qy: BallQuery, mode: str = "fast") -> set[Word]:
         raise DomainError(f"unknown mode {mode!r}; use 'fast' or 'oracle'")
     center, radius, n = qy.center, qy.radius, qy.target_len
     m, q = len(center), center.q
-    if q ** n > _ENUM_LIMIT:
+    if _power_exceeds(q, n, _ENUM_LIMIT):
         raise CapacityError(
-            f"q**target_len = {q ** n} exceeds the enumeration limit {_ENUM_LIMIT}"
+            f"q**target_len = {q}**{n} exceeds the enumeration limit {_ENUM_LIMIT}"
         )
     if abs(m - n) > radius:
         return set()
     if mode == "oracle":
         return {x for x in iter_words(q, n) if insdel_distance(center, x) <= radius}
-    out: set[Word] = set()
+    out: set[tuple[int, ...]] = set()
     g_lo = max(0, m - n)
     g_hi = min(m, (radius + m - n) // 2)
     for g in range(g_lo, g_hi + 1):
-        inserts = g + n - m
-        for shrunk in enumerate_deletion_sphere(center, g):
-            out |= enumerate_insertion_sphere(shrunk, inserts)
-    return out
+        shrunk = {w.symbols for w in enumerate_deletion_sphere(center, g)}
+        out |= _edit_levels(shrunk, g + n - m, [(a,) for a in range(q)], 0)
+    return {Word._unchecked(syms, q) for syms in out}
 
 
 def repetition_ball_exact(m: int, n: int, tau_n: int, q: int) -> int:

@@ -24,9 +24,9 @@ RANDOM_CODE_DIGEST = "37b80f99934c4ac587aab4656d2ef8e81c302153de2dc8482611955afd
 LINEAR_CODE_DIGEST = "eff94d3e0c7ef5cb12d1629a6f8f526e98e9aa229bc77907a80e537712f406d8"
 
 
-def run_cli(*argv: str) -> subprocess.CompletedProcess:
+def run_cli(*argv: str, timeout: float | None = None) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, "-m", "insdel", *argv], capture_output=True, text=True
+        [sys.executable, "-m", "insdel", *argv], capture_output=True, text=True, timeout=timeout
     )
 
 
@@ -296,6 +296,7 @@ def test_usage_errors_exit_2():
 
 CERTIFY = ("certify", "--code-file", "{file}", "--tau-n", "1", "-L", "2")
 BLOCK_CHANNEL = ("channel", "-q", "2", "--word", "0110", "--block-len", "2", "--seed")
+CODE_N7 = json.dumps({"q": 2, "n": 7, "words": ["0000000", "0101101", "1011010", "1111111"]})
 
 
 @pytest.mark.parametrize(
@@ -319,13 +320,32 @@ BLOCK_CHANNEL = ("channel", "-q", "2", "--word", "0110", "--block-len", "2", "--
         ),
         pytest.param((*BLOCK_CHANNEL, "-1", "--budgets", "1,1"), None, 3, id="channel-negative-seed"),
         pytest.param((*BLOCK_CHANNEL, "1", "--budgets", "1,x"), None, 2, id="channel-bad-budget"),
+        # Capacity refusals whose counts run to thousands of digits.
+        pytest.param(("gv-greedy", "-q", "2", "-n", "15000", "-d", "2"), None, 4, id="greedy-huge-n"),
+        pytest.param(
+            ("ball", "-q", "2", "--center", "0101", "--radius", "3", "--length", "15000"), None, 4,
+            id="ball-huge-length",
+        ),
+        pytest.param(
+            ("certify", "--code-file", "{file}", "--tau-n", "15000", "-L", "4"), CODE_N7, 4,
+            id="certify-huge-radius",
+        ),
+        pytest.param(
+            ("sphere", "-q", "2", "--center", "0", "--radius", "14300", "--kind", "insertion"), None, 4,
+            id="insertion-sphere-huge-radius",
+        ),
+        pytest.param(
+            ("sample", "-q", "2", "-n", "15000", "--linear", "-k", "15000", "--seed", "1"), None, 4,
+            id="linear-huge-dimension",
+        ),
     ],
 )
 def test_bad_files_and_arguments_exit_without_traceback(tmp_path, argv, content, code):
     path = tmp_path / "input.json"
     if content is not None:
         path.write_text(content)
-    result = run_cli(*(str(path) if arg == "{file}" else arg for arg in argv))
+    # Each refusal is immediate, so one that computes first runs out of time.
+    result = run_cli(*(str(path) if arg == "{file}" else arg for arg in argv), timeout=10)
     assert result.returncode == code
     assert "error:" in result.stderr
     assert "Traceback" not in result.stderr

@@ -13,13 +13,12 @@ from insdel.core import (
     RunProfile,
     Word,
     _flagged_lanes,
+    _lane_budget,
     _lane_gate,
     _lane_width,
-    _lcs_bits,
-    _lcs_recurrence,
     _lcs_steps,
-    _match_table,
     _packed_match_table,
+    _power_exceeds,
     count_runs,
     format_word,
     hamming_weight,
@@ -76,12 +75,17 @@ def test_lcs_rejects_mixed_alphabets():
         insdel_distance(word((0,), 2), word((0,), 4))
 
 
+def last_vector(xs, table):
+    *_, v = _lcs_steps(xs, table)
+    return v
+
+
 @given(sized_pairs_strategy())
 def test_lcs_matches_full_matrix_reference(pair):
     # Up to 100 symbols, so the kernel's carries cross big-int digits.
     a, b = pair
     assert lcs_length(a, b) == lcs_ref(a.symbols, b.symbols)
-    bits = _lcs_bits(a.symbols, b.symbols)
+    bits = last_vector(a.symbols, _packed_match_table((b.symbols,), len(b)))
     for j in range(len(b) + 1):
         prefix_lcs = j - (bits & ((1 << j) - 1)).bit_count()
         assert prefix_lcs == lcs_ref(a.symbols, b.symbols[:j])
@@ -98,10 +102,11 @@ def test_one_match_table_serves_every_query(case):
     """
     ys, queries = case
     ys = tuple(ys)
-    table = _match_table(ys)
+    table = _packed_match_table((ys,), len(ys))
     for xs in map(tuple, queries):
-        assert len(ys) - _lcs_recurrence(xs, table).bit_count() == lcs_ref(xs, ys)
-        assert _lcs_recurrence(xs, table) == _lcs_bits(xs, ys)
+        v = last_vector(xs, table)
+        assert len(ys) - v.bit_count() == lcs_ref(xs, ys)
+        assert v == last_vector(xs, _packed_match_table((ys,), len(ys)))
 
 
 def check_lanes(words, xs):
@@ -111,7 +116,9 @@ def check_lanes(words, xs):
     vector of xs[:L] against words[k] (one cleared bit per LCS symbol of
     each prefix of words[k], nothing above bit n, nothing between lanes),
     and the gate must flag exactly the lanes with at most `most` set
-    bits, for every budget from below zero to above n.
+    bits, for every budget from below zero to above n.  Through
+    _lane_budget it must flag exactly the words within each insdel
+    radius of xs[:L].
     """
     n = len(words[0])
     width = _lane_width(n)
@@ -138,6 +145,12 @@ def check_lanes(words, xs):
             assert list(_flagged_lanes(expected, width)) == [
                 k for k, count in enumerate(counts) if count <= most
             ]
+        dists = [distance_ref(xs[:L], ys) for ys in words]
+        for radius in range(0, n + L + 2):
+            flags = gate(v, _lane_budget(radius, n, L))
+            assert list(_flagged_lanes(flags, width)) == [
+                k for k, d in enumerate(dists) if d <= radius
+            ], (L, radius)
 
 
 def test_lane_width_is_the_least_power_of_two_above_n_and_seven():
@@ -180,6 +193,15 @@ def test_lanes_of_repeated_symbols(n):
 def test_lanes_match_full_matrix_reference(case):
     words, xs = case
     check_lanes(words, xs)
+
+
+def test_power_exceeds_matches_the_built_power():
+    for base in (2, 3, 5, 10):
+        for exponent in range(0, 25):
+            for limit in (1, 7, 8, 9, 10 ** 6, 10 ** 7):
+                assert _power_exceeds(base, exponent, limit) == (base ** exponent > limit)
+    # An exponent no power could be built for still answers at once.
+    assert _power_exceeds(2, 10 ** 18, 10 ** 7)
 
 
 def test_packed_table_rejects_a_word_that_overflows_its_lane():

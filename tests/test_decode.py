@@ -4,6 +4,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from insdel.codes import Code, philox_generator, sample_random_code
 from insdel.core import CapacityError, DomainError, insdel_distance, iter_words, word
@@ -16,6 +18,8 @@ from insdel.decode import (
     monte_carlo_rate_experiment,
     rs_encode,
 )
+
+from oracles import all_tuples, distance_ref
 
 TWO_REPS = Code(q=2, n=2, words=frozenset({word((0, 0), 2), word((1, 1), 2)}))
 FULL_SQUARE = Code(q=2, n=2, words=frozenset(iter_words(2, 2)))
@@ -109,6 +113,72 @@ def test_certify_sampled_pinned_witness():
         (False, word((1, 0, 1, 1), 2)),
         (False, word((1, 0, 0, 1, 0, 0, 1, 0), 2)),
     ]
+
+
+def crowded(code, center, tau_n, L):
+    """Double loop: does the radius-tau_n ball around center hold more than L codewords?"""
+    return sum(1 for w in code.words if distance_ref(w.symbols, center) <= tau_n) > L
+
+
+def sampled_centers(q, lengths, seed, samples):
+    """The documented sampled-mode stream: a q**m-weighted length, then m symbols."""
+    rng = philox_generator(seed)
+    weights = [q ** m for m in lengths]
+    for _ in range(samples):
+        ticket = _draw_below(rng, sum(weights))
+        for m, weight in zip(lengths, weights):
+            if ticket < weight:
+                break
+            ticket -= weight
+        yield tuple(int(v) for v in rng.integers(0, q, size=m))
+
+
+def check_certify_against_double_loop(code, tau_n, L, seed, samples):
+    lengths = range(max(0, code.n - tau_n), code.n + tau_n + 1)
+    for mode, centers in (
+        ("exhaustive", (c for m in lengths for c in all_tuples(code.q, m))),
+        ("sampled", sampled_centers(code.q, lengths, seed, samples)),
+    ):
+        first = next((c for c in centers if crowded(code, c, tau_n, L)), None)
+        expected = (first is None, None if first is None else word(first, code.q))
+        got = certify_list_decodable(code, tau_n, L, mode=mode, samples=samples, seed=seed)
+        assert got == expected, mode
+
+
+# Lengths stay small enough that the exhaustive oracle visits a few
+# hundred centers at most: n + tau_n <= 7, 5 and 4 for q = 2, 3 and 4.
+@st.composite
+def certify_cases(draw):
+    q = draw(st.integers(2, 4))
+    top = {2: 7, 3: 5, 4: 4}[q]
+    n = draw(st.integers(1, top - 1))
+    tau_n = draw(st.integers(0, top - n))
+    space = list(all_tuples(q, n))
+    chosen = draw(st.sets(st.sampled_from(space), max_size=min(len(space), 7)))
+    code = Code(q=q, n=n, words=frozenset(word(c, q) for c in chosen))
+    L = draw(st.integers(1, len(chosen) + 1))
+    return code, tau_n, L, draw(st.integers(0, 2 ** 64)), draw(st.integers(1, 30))
+
+
+@settings(deadline=None, max_examples=200)
+@given(certify_cases())
+def test_certify_modes_match_double_loop(case):
+    check_certify_against_double_loop(*case)
+
+
+@pytest.mark.parametrize(
+    "code, tau_n, L",
+    [
+        pytest.param(Code(q=3, n=2, words=frozenset()), 1, 1, id="empty-code"),
+        pytest.param(Code(q=2, n=3, words=frozenset({word((0, 1, 1), 2)})), 2, 1, id="one-word"),
+        pytest.param(Code(q=4, n=1, words=frozenset(iter_words(4, 1))), 1, 2, id="n-1"),
+        pytest.param(FULL_SQUARE, 3, 2, id="tau-above-n"),
+        pytest.param(FULL_SQUARE, 2, 4, id="L-at-M"),
+        pytest.param(FULL_SQUARE, 2, 9, id="L-above-M"),
+    ],
+)
+def test_certify_edge_cases_match_double_loop(code, tau_n, L):
+    check_certify_against_double_loop(code, tau_n, L, seed=11, samples=40)
 
 
 def test_draw_below_keeps_int64_stream_and_covers_big_totals():
@@ -230,6 +300,9 @@ def test_list_recover_capacity_guard():
     with pytest.raises(CapacityError):
         code.codebook
     assert "codebook" not in code.__dict__
+    # p**K runs to thousands of digits; the refusal neither builds nor prints it.
+    with pytest.raises(CapacityError):
+        RSCode(p=10007, k=1200, points=range(1200)).codebook
 
 
 def test_rs_codebook_is_every_codeword_in_message_order():
