@@ -33,7 +33,7 @@ class EditScript:
     ops: tuple[tuple, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ops", tuple(tuple(op) for op in self.ops))
+        object.__setattr__(self, "ops", tuple([tuple(op) for op in self.ops]))
         for op in self.ops:
             if op[0] == DELETE and len(op) == 2:
                 continue

@@ -12,27 +12,32 @@ lists to brute-force outer list recovery.
 
 Every edit count is an integer, so ConcatParams turns its rational
 radii into whole edit counts once (radius, inner_radius) and the
-per-window feasibility and inner-radius tests compare ints only;
-Fractions appear only at construction, in the window grid's bounds and
-in the once-per-decode list-mass cap.  Rational parameters may be given
-as Fraction, int, or string ("2/5"); floats are accepted and converted
-via their shortest decimal representation.
+per-window feasibility and inner-radius tests compare ints only.  The
+window grid is whole numbers too: its bounds and census cap are
+computed once per ConcatParams (window_grid, window_cap), and
+build_windows returns a lazy set holding five ints.  Fractions appear
+only at construction and in the once-per-decode list-mass cap.
+Rational parameters may be given as Fraction, int, or string ("2/5");
+floats are accepted and converted via their shortest decimal
+representation.
 
 The decoder computes each invariant at the level where it stops
 changing: one LCS match table over every inner-domain word, each word
 in its own lane of a big integer, once per ConcatParams; the outer
 code's codebook once per RSCode; and the re-encoded list words without
 re-validating symbols that come from already-validated inner words.
-The scan then runs one bit-parallel LCS recurrence per window start,
-over the longest window content there, which advances every domain
-word at once; each window length reads the vector after that many
-symbols and tests all lanes against the inner radius in one gate.
+The scan walks the grid's (lam, mu) ranges directly.  It runs one
+bit-parallel LCS recurrence per window start, over the longest window
+content there, which advances every domain word at once; each distinct
+clipped window length reads the vector after that many symbols and
+tests all lanes against the inner radius in one gate.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -242,6 +247,36 @@ class ConcatParams:
         return math.floor(self.tau_in * self.n)
 
     @cached_property
+    def window_grid(self) -> tuple[int, int, int]:
+        """Whole-number window grid bounds (shrunk, mu_lo, mu_hi).
+
+        shrunk = ceil(max(0, 1 - tau_star) * n) is the shortest content a
+        block can shrink to.  Window lengths mu * step run over mu_lo =
+        ceil(shrunk / step) .. mu_hi = floor(1 + (1 + tau_star) * n / step),
+        and over a received word of length M the window starts lam * step
+        run over lam = 0 .. 1 + (M - shrunk) // step.  Each is the floor
+        or ceiling of a rational grid bound, exact because M and step are
+        whole numbers.
+        """
+        step = self.tau_hat_n
+        tau_star_n = math.floor(self.tau_star * self.n)
+        shrunk = max(0, self.n - tau_star_n)
+        return shrunk, -(-shrunk // step), 1 + (self.n + tau_star_n) // step
+
+    @cached_property
+    def window_cap(self) -> int:
+        """Linear-size cap on the window census of a decodable received word.
+
+        (width / tau_hat + 2) * (lengths / tau_hat + 2) with width =
+        (1 + tau) * N - max(0, 1 - tau_star) and lengths = min(2 * tau_star,
+        1 + tau_star); a whole count exceeds it exactly when it exceeds
+        its floor.
+        """
+        width = (1 + self.tau) * self.N - max(Fraction(0), 1 - self.tau_star)
+        lengths = min(2 * self.tau_star, 1 + self.tau_star)
+        return math.floor((width / self.tau_hat + 2) * (lengths / self.tau_hat + 2))
+
+    @cached_property
     def inner_lanes(self) -> tuple[tuple[dict[int, int], int], Callable[[int, int], int]]:
         """Packed LCS match table over every inner-encoder word, and its gate.
 
@@ -338,38 +373,73 @@ def concat_encode_message(params: ConcatParams, message: Sequence[int]) -> Word:
     return concat_encode(params, rs_encode(params.outer, message))
 
 
-def build_windows(params: ConcatParams, M: int) -> set[Window]:
+@dataclass(frozen=True, eq=False, slots=True)
+class WindowGrid(Set):
+    """The grid windows over a received word of length M, as a lazy set.
+
+    Window (lam, mu) starts at phi = lam * step and nominally spans
+    mu * step symbols, for lam in 0..lam_hi and mu in mu_lo..mu_hi; its
+    extractable length is clipped at the right edge of the received
+    word.  Only the five whole numbers are stored: the size is their
+    closed form, membership is a grid test, and iteration builds each
+    Window on demand.  It compares, counts and tests membership like
+    the set of those Windows.
+    """
+
+    step: int
+    M: int
+    lam_hi: int
+    mu_lo: int
+    mu_hi: int
+
+    def clipped(self, phi: int, mu: int) -> int:
+        """Extractable length of the window of nominal length mu * step at phi."""
+        return max(0, min(mu * self.step, self.M - phi))
+
+    def __len__(self) -> int:
+        return max(0, self.lam_hi + 1) * max(0, self.mu_hi - self.mu_lo + 1)
+
+    def __iter__(self) -> Iterator[Window]:
+        for lam in range(self.lam_hi + 1):
+            phi = lam * self.step
+            for mu in range(self.mu_lo, self.mu_hi + 1):
+                yield Window(phi=phi, lambda_len=self.clipped(phi, mu), lam=lam, mu=mu)
+
+    def __contains__(self, win: object) -> bool:
+        return (
+            type(win) is Window
+            and 0 <= win.lam <= self.lam_hi
+            and self.mu_lo <= win.mu <= self.mu_hi
+            and win.phi == win.lam * self.step
+            and win.lambda_len == self.clipped(win.phi, win.mu)
+        )
+
+    @classmethod
+    def _from_iterable(cls, it) -> set[Window]:
+        # Set operators (&, |, -, ^) return plain sets of Windows.
+        return set(it)
+
+
+def build_windows(params: ConcatParams, M: int) -> WindowGrid:
     """All grid windows over a received word of length M.
 
     Start offsets are lam * step for lam in a range wide enough to reach
     the end of the received word; nominal lengths are mu * step with mu
     spanning every length an inner block can stretch or shrink to on the
     grid.  Windows are clipped at the right edge but kept, including
-    empty ones, so the grid coordinate ranges stay rectangular.
+    empty ones, so the grid coordinate ranges stay rectangular.  The
+    bounds are whole numbers computed once per params
+    (ConcatParams.window_grid); when M is within the decoding radius of
+    n * N, the census is checked against ConcatParams.window_cap.
     """
     if M < 0:
         raise DomainError("received length must be nonnegative")
     step = params.tau_hat_n
-    tau_hat = params.tau_hat
-    lam_top = 1 + (Fraction(M, params.n) - max(Fraction(0), 1 - params.tau_star)) / tau_hat
-    if lam_top < 0:
-        return set()
-    lam_hi = math.floor(lam_top)
-    mu_lo = math.ceil(max(Fraction(0), (1 - params.tau_star) / tau_hat))
-    mu_hi = math.floor(1 + (1 + params.tau_star) / tau_hat)
-    out: set[Window] = set()
-    for lam in range(lam_hi + 1):
-        phi = lam * step
-        for mu in range(mu_lo, mu_hi + 1):
-            lambda_len = max(0, min(mu * step, M - phi))
-            out.add(Window(phi=phi, lambda_len=lambda_len, lam=lam, mu=mu))
-    if abs(M - params.n * params.N) <= params.radius:
-        width = ((1 + params.tau) * params.N - max(Fraction(0), 1 - params.tau_star))
-        lengths = min(2 * params.tau_star, 1 + params.tau_star)
-        cap = (width / tau_hat + 2) * (lengths / tau_hat + 2)
-        if len(out) > cap:
-            raise BoundViolationError("window census exceeded its linear-size cap")
-    return out
+    shrunk, mu_lo, mu_hi = params.window_grid
+    grid = WindowGrid(step=step, M=M, lam_hi=1 + (M - shrunk) // step, mu_lo=mu_lo, mu_hi=mu_hi)
+    if abs(M - params.n * params.N) <= params.radius and len(grid) > params.window_cap:
+        raise BoundViolationError("window census exceeded its linear-size cap")
+    return grid
 
 
 def align_window(sp: int, length: int, tau_hat_n: int) -> Window:
@@ -468,28 +538,31 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
     match_total = 0
     max_inner_list = 0
 
-    by_phi: dict[int, dict[int, list[tuple[int, int]]]] = {}
-    for win in windows:
-        by_phi.setdefault(win.phi, {}).setdefault(win.lambda_len, []).append((win.lam, win.mu))
-    for phi, by_len in by_phi.items():
-        content = r_syms[phi : phi + max(by_len)]
-        for L, v in enumerate(_lcs_steps(content, table)):
-            group = by_len.get(L)
-            if group is None:
-                continue
-            flags = gate(v, _lane_budget(inner_radius, n, L))
-            hits = flags.bit_count()
-            match_total += hits * len(group)
-            max_inner_list = max(max_inner_list, hits)
+    step, mu_lo, mu_hi = windows.step, windows.mu_lo, windows.mu_hi
+    for lam in range(windows.lam_hi + 1):
+        phi = lam * step
+        room = max(0, M - phi)
+        # One recurrence per start, over its longest window.  Clipped
+        # lengths min(mu * step, room) never decrease with mu, so the
+        # windows clipped to one length share one gate.
+        vectors = list(_lcs_steps(r_syms[phi : phi + min(mu_hi * step, room)], table))
+        gated = -1
+        for mu in range(mu_lo, mu_hi + 1):
+            length = min(mu * step, room)
+            if length != gated:
+                gated = length
+                flags = gate(vectors[length], _lane_budget(inner_radius, n, length))
+                hits = flags.bit_count()
+                max_inner_list = max(max_inner_list, hits)
+            match_total += hits
             if not hits:
                 continue
-            for lam, mu in group:
-                for i in range(E):
-                    part = flags & index_lanes[i]
-                    if not part:
-                        continue
-                    for j_N in feasible_jN(i, lam, mu, params, M):
-                        hit_lanes[i + j_N * E] |= part
+            for i in range(E):
+                part = flags & index_lanes[i]
+                if not part:
+                    continue
+                for j_N in feasible_jN(i, lam, mu, params, M):
+                    hit_lanes[i + j_N * E] |= part
 
     lists = [[k % p for k in _flagged_lanes(bits, width)] for bits in hit_lanes]
     mass = sum(len(entries) for entries in lists)
@@ -498,7 +571,7 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
         raise BoundViolationError("position-list mass exceeded the window-count bound")
     # A frozenset prints colliding symbols in insertion order; inserting
     # in sorted order makes the printed report independent of scan order.
-    frozen = tuple(frozenset(sorted(entries)) for entries in lists)
+    frozen = tuple([frozenset(sorted(entries)) for entries in lists])
     outer_hits = brute_force_list_recover(
         params.outer, frozen, params.alpha_out, ell=params.ell_out
     )

@@ -94,7 +94,10 @@ class Word:
     q: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "symbols", tuple(int(s) for s in self.symbols))
+        # From a list, not a generator: tuple(genexpr) reaches its size by
+        # resizing, and a resized small tuple is freed into a CPython
+        # freelist it was never taken from, which only a full GC drains.
+        object.__setattr__(self, "symbols", tuple([int(s) for s in self.symbols]))
         if self.q < 2:
             raise DomainError(f"alphabet size must be at least 2, got {self.q}")
         for s in self.symbols:

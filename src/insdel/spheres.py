@@ -92,10 +92,40 @@ def enumerate_insertion_sphere(s: Word, n2: int) -> set[Word]:
     return {Word._unchecked(syms, s.q) for syms in level}
 
 
+def _deletion_sphere_sizes(s: Word, n2: int) -> list[int]:
+    """Exact sizes of the deletion spheres of s of radius 0..n2.
+
+    The sphere of radius d holds the distinct length-(|s|-d)
+    subsequences of s, counted prefix by prefix with the last-occurrence
+    recurrence.  A subsequence of s[:i] with d deletions is one of
+    s[:i-1] with d - 1 deletions, or one of s[:i-1] with d deletions
+    followed by x = s[i-1].  The two kinds share the words that can
+    already end at p, the previous occurrence of x: those of s[:p-1]
+    with d - (i - p) deletions, followed by x, which are subtracted
+    once.  O(|s| * n2) big-int additions, keeping one row per symbol.
+    """
+    row = [1] + [0] * n2  # the empty prefix
+    before: dict[int, tuple[int, list[int]]] = {}
+    for i, x in enumerate(s.symbols, 1):
+        new = [row[0]] + [row[d - 1] + row[d] for d in range(1, n2 + 1)]
+        if x in before:
+            p, old = before[x]
+            for d in range(i - p, n2 + 1):
+                new[d] -= old[d - (i - p)]
+        before[x] = (i, row)
+        row = new
+    return row
+
+
 def enumerate_deletion_sphere(s: Word, n2: int) -> set[Word]:
     """All distinct length-(|s|-n2) subsequences of s."""
     if not 0 <= n2 <= len(s):
         raise DomainError(f"cannot delete {n2} symbols from a word of length {len(s)}")
+    # The BFS holds the sphere of every radius up to n2 in turn.
+    if max(_deletion_sphere_sizes(s, n2)) > _ENUM_LIMIT:
+        raise CapacityError(
+            f"{n2} deletions pass through a sphere above the {_ENUM_LIMIT} element limit"
+        )
     level = _edit_levels({s.symbols}, n2, [()], 1)
     return {Word._unchecked(syms, s.q) for syms in level}
 

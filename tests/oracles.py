@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from insdel.bounds import random_rate_binary, random_rate_q3
+from insdel.concat import Window
 
 DESK = dict(
     N=8,
@@ -106,6 +107,17 @@ HOST_N3 = dict(
     ell_out=999,
     inner_seed=7,
 )
+
+# A coarse grid for window edge cases: step 5 exceeds the shortest
+# block content 3 = ceil(n - tau_star * n), so the last window starts
+# can lie past the end of the received word, and mu_lo = ceil(3/5) and
+# tau_star * n = 3/2 both round.  tau_in > 1, and building it always
+# raises RegimeWarning.
+HOST_WIDE = {
+    **HOST_N3,
+    "tau_in": Fraction(13, 8),
+    "tau_star": Fraction(3, 8),
+}
 
 
 def lcs_ref(xs, ys) -> int:
@@ -291,3 +303,35 @@ def brute_feasible(i: int, lam: int, mu: int, params, M: int) -> set[int]:
             continue
         out.add(j_n)
     return out
+
+
+def windows_ref(params, M: int) -> set:
+    """Every grid window over a length-M received word, built one by one.
+
+    The grid bounds are taken straight from their rational definitions:
+    starts lam * step up to 1 + (M/n - max(0, 1 - tau_star)) / tau_hat,
+    nominal lengths mu * step from max(0, 1 - tau_star) / tau_hat up to
+    1 + (1 + tau_star) / tau_hat, each window clipped at the right edge.
+    """
+    step = params.tau_hat_n
+    tau_hat = params.tau_hat
+    lam_top = 1 + (Fraction(M, params.n) - max(Fraction(0), 1 - params.tau_star)) / tau_hat
+    if lam_top < 0:
+        return set()
+    mu_lo = math.ceil(max(Fraction(0), (1 - params.tau_star) / tau_hat))
+    mu_hi = math.floor(1 + (1 + params.tau_star) / tau_hat)
+    out = set()
+    for lam in range(math.floor(lam_top) + 1):
+        phi = lam * step
+        for mu in range(mu_lo, mu_hi + 1):
+            lambda_len = max(0, min(mu * step, M - phi))
+            out.add(Window(phi=phi, lambda_len=lambda_len, lam=lam, mu=mu))
+    return out
+
+
+def window_cap_ref(params) -> Fraction:
+    """The linear-size window census cap, as the rational it is defined as."""
+    tau_hat = params.tau_hat
+    width = (1 + params.tau) * params.N - max(Fraction(0), 1 - params.tau_star)
+    lengths = min(2 * params.tau_star, 1 + params.tau_star)
+    return (width / tau_hat + 2) * (lengths / tau_hat + 2)

@@ -338,6 +338,15 @@ CODE_N7 = json.dumps({"q": 2, "n": 7, "words": ["0000000", "0101101", "1011010",
             ("sample", "-q", "2", "-n", "15000", "--linear", "-k", "15000", "--seed", "1"), None, 4,
             id="linear-huge-dimension",
         ),
+        # A 40-symbol ternary center: the deletion BFS passes through levels of millions of words.
+        pytest.param(
+            ("sphere", "-q", "3", "--center", "012" * 13 + "0", "--radius", "20", "--kind", "deletion"),
+            None, 4, id="deletion-sphere-long-center",
+        ),
+        pytest.param(
+            ("ball", "-q", "3", "--center", "012" * 13 + "0", "--radius", "28", "--length", "12"),
+            None, 4, id="ball-long-center",
+        ),
     ],
 )
 def test_bad_files_and_arguments_exit_without_traceback(tmp_path, argv, content, code):

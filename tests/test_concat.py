@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -10,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from insdel.channel import adversarial_block_channel
+from insdel.channel import adversarial_block_channel, random_channel
 from insdel.concat import (
     ConcatParams,
     InnerEncoder,
@@ -29,9 +30,20 @@ from insdel.concat import (
     params_to_json_dict,
 )
 from insdel.codes import philox_generator
-from insdel.core import DomainError, RegimeWarning, insdel_distance, word
+from insdel.core import BoundViolationError, DomainError, RegimeWarning, insdel_distance, word
 from insdel.decode import rs_encode
-from oracles import DESK, DESK_FRACTIONAL, HOST_N3, HOST_N6, SHARP, brute_feasible, lcs_ref
+from oracles import (
+    DESK,
+    DESK_FRACTIONAL,
+    HOST_N3,
+    HOST_N6,
+    HOST_WIDE,
+    SHARP,
+    brute_feasible,
+    lcs_ref,
+    window_cap_ref,
+    windows_ref,
+)
 
 MESSAGE = (1, 2, 0)
 
@@ -265,6 +277,82 @@ def test_build_windows_small_and_invalid(desk_params):
 
 
 @pytest.mark.parametrize(
+    "instance",
+    [DESK, DESK_FRACTIONAL, HOST_N6, HOST_N3, HOST_WIDE, SHARP],
+    ids=["desk", "desk-fractional", "host-n6", "host-n3", "host-wide", "sharp"],
+)
+def test_build_windows_matches_reference_grid(instance):
+    """The lazy grid equals oracles.windows_ref for every M up to nN + radius + 2.
+
+    Equal both ways round, equal sizes, the same iterated windows, set
+    operators that return plain sets, and membership true for every
+    reference window but false one coordinate off it: wrong lambda_len,
+    phi off lam * step, mu or lam outside the grid, or not a Window.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        params = make_concat_params(**instance)
+    assert params.window_cap == math.floor(window_cap_ref(params))
+    step = params.tau_hat_n
+    for M in range(params.n * params.N + params.radius + 3):
+        grid = build_windows(params, M)
+        ref = windows_ref(params, M)
+        assert grid == ref and ref == grid, M
+        assert len(grid) == len(ref), M
+        listed = list(grid)
+        assert len(listed) == len(ref) and set(listed) == ref, M
+        assert (grid & ref) == ref and (grid - ref) == set() and type(grid | ref) is set, M
+        if not ref:
+            assert all(Window(0, 0, 0, mu) not in grid for mu in range(10)), M
+            continue
+        lam_hi = max(w.lam for w in ref)
+        mu_lo = min(w.mu for w in ref)
+        mu_hi = max(w.mu for w in ref)
+
+        def on_grid(lam, mu):
+            phi = lam * step
+            return Window(phi, max(0, min(mu * step, M - phi)), lam, mu)
+
+        for win in ref:
+            assert win in grid, (M, win)
+            misses = [
+                Window(win.phi, win.lambda_len + 1, win.lam, win.mu),
+                Window(win.phi + 1, win.lambda_len, win.lam, win.mu),
+                on_grid(win.lam, mu_hi + 1),
+                on_grid(lam_hi + 1, win.mu),
+                (win.phi, win.lambda_len, win.lam, win.mu),
+            ]
+            if mu_lo:
+                misses.append(on_grid(win.lam, mu_lo - 1))
+            for miss in misses:
+                assert miss not in ref and miss not in grid, (M, miss)
+    with pytest.raises(DomainError):
+        build_windows(params, -1)
+
+
+def test_window_census_cap_can_fail():
+    """A census above the cached integer cap raises, inside the decodable range."""
+    params = make_concat_params(**DESK)  # fresh: the forced cap must not leak
+    M = params.n * params.N + params.radius
+    params.__dict__["window_cap"] = len(build_windows(params, M)) - 1
+    with pytest.raises(BoundViolationError, match="^window census exceeded its linear-size cap$"):
+        build_windows(params, M)
+    with pytest.raises(BoundViolationError, match="^window census exceeded its linear-size cap$"):
+        list_decode_concat_detailed(params, word((0,) * M, params.q))
+
+
+def test_window_census_cap_is_skipped_outside_the_decodable_range():
+    params = make_concat_params(**DESK)
+    params.__dict__["window_cap"] = 0
+    total = params.n * params.N
+    for M in (total - params.radius - 1, total + params.radius + 1):
+        assert len(build_windows(params, M)) > 0
+    for M in (total - params.radius, total, total + params.radius):
+        with pytest.raises(BoundViolationError):
+            build_windows(params, M)
+
+
+@pytest.mark.parametrize(
     "sp,length,step,expected",
     [
         (1, 3, 2, Window(phi=2, lambda_len=2, lam=1, mu=1)),
@@ -380,7 +468,11 @@ def test_sharp_instance_lists_are_short_and_contain_the_sent_word():
         assert len(report.codewords) <= 10, seed
 
 
-@pytest.mark.parametrize("instance, seeds", [(DESK, range(4)), (SHARP, range(2))], ids=["desk", "sharp"])
+@pytest.mark.parametrize(
+    "instance, seeds",
+    [(DESK, range(4)), (SHARP, range(2)), (HOST_WIDE, range(12))],
+    ids=["desk", "sharp", "host-wide"],
+)
 def test_inner_scan_counts_match_full_matrix_reference(instance, seeds):
     """Redo the inner scan window by window with oracles.lcs_ref.
 
@@ -390,7 +482,9 @@ def test_inner_scan_counts_match_full_matrix_reference(instance, seeds):
     match tables.  Each hit's symbol, entered at every position
     oracles.brute_feasible allows, must rebuild the position lists.
     """
-    params = make_concat_params(**instance)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        params = make_concat_params(**instance)
     n, inner_radius, E = params.n, params.inner_radius, params.eps_cont_N
     for seed in seeds:
         _, received = full_budget_channel(params, seed)
@@ -517,4 +611,31 @@ def test_decode_reports_are_pinned(desk_params, host_n6, desk_fractional):
         digest.update(repr(list_decode_concat_detailed(desk_fractional, received)).encode())
     assert digest.hexdigest() == (
         "92323e9c67b096307c08cb6113d47c70a688d0f7a8b66c1fa9e94486cba58b65"
+    )
+
+
+def test_clipped_edge_decode_reports_are_pinned(desk_params, host_n6, desk_fractional):
+    """One SHA-256 over the repr of decode reports at the extreme lengths.
+
+    Received words of length n*N - radius (deletions only) and
+    n*N + radius (insertions only), three seeds each on four instances:
+    there the right-edge clipping of windows and the last grid start
+    lam_hi matter most.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sharp = make_concat_params(**SHARP)
+    digest = hashlib.sha256()
+    for params in (desk_params, desk_fractional, host_n6, sharp):
+        total = params.n * params.N
+        for seed in range(3):
+            rng = random.Random(seed)
+            message = [rng.randrange(params.outer.p) for _ in range(params.outer.k)]
+            sent = concat_encode_message(params, message)
+            for n_ins, n_del in ((0, params.radius), (params.radius, 0)):
+                received, _ = random_channel(sent, n_ins, n_del, seed)
+                assert len(received) == total + n_ins - n_del
+                digest.update(repr(list_decode_concat_detailed(params, received)).encode())
+    assert digest.hexdigest() == (
+        "f815c540f96e3a6e4eb2c2f416ae312e74e4ab523927e30abcc69168fd6f3915"
     )

@@ -26,6 +26,7 @@ from insdel.spheres import (
     enumerate_insertion_sphere,
     insertion_sphere_size,
     repetition_ball_exact,
+    _deletion_sphere_sizes,
 )
 
 from oracles import all_tuples, lcs_ref
@@ -124,6 +125,28 @@ def test_deletion_sphere_members_are_subsequences(s, n2):
     lower, upper = deletion_sphere_bounds(count_runs(s), n2) if len(s) else (0, 1)
     if len(s):
         assert lower <= len(sphere) <= upper
+
+
+@given(small_words(max_q=4, max_len=8), st.integers(0, 8))
+def test_deletion_sphere_sizes_count_the_enumeration(s, n2):
+    n2 = min(n2, len(s))
+    sizes = _deletion_sphere_sizes(s, n2)
+    assert sizes == [len(enumerate_deletion_sphere(s, k)) for k in range(n2 + 1)]
+    if len(s):
+        for k, size in enumerate(sizes):
+            lower, upper = deletion_sphere_bounds(count_runs(s), k)
+            assert lower <= size <= upper
+
+
+def test_deletion_sphere_refuses_an_intermediate_blowup():
+    center = word((0, 1, 2) * 13 + (0,), 3)
+    # The last level is small, but the BFS passes through levels of millions of words.
+    sizes = _deletion_sphere_sizes(center, 38)
+    assert sizes[38] == 9 and max(sizes) > 10 ** 6
+    with pytest.raises(CapacityError):
+        enumerate_deletion_sphere(center, 38)
+    with pytest.raises(CapacityError):
+        enumerate_ball_fixed_length(BallQuery(center=center, radius=28, target_len=12))
 
 
 @pytest.mark.parametrize(
