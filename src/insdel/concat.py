@@ -28,9 +28,9 @@ code's codebook once per RSCode; and the re-encoded list words without
 re-validating symbols that come from already-validated inner words.
 The scan walks the grid's (lam, mu) ranges directly.  It runs one
 bit-parallel LCS recurrence per window start, over the longest window
-content there, which advances every domain word at once; each distinct
-clipped window length reads the vector after that many symbols and
-tests all lanes against the inner radius in one gate.
+content there, which counts the LCS of every domain word at once; each
+distinct clipped window length tests the counter after that many
+symbols against the inner radius in one add.
 """
 
 from __future__ import annotations
@@ -41,12 +41,12 @@ from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .codes import Code, Seed, sample_word_sequence
 from .core import BoundViolationError, DomainError, InsdelError, RegimeWarning, Word
-from .core import FractionLike, _flagged_lanes, _frac, _lane_budget, _lane_gate, _lane_width
-from .core import _lcs_steps, _packed_match_table, insdel_distance
+from .core import FractionLike, _LaneTable, _flagged_lanes, _frac, _lane_budget, _lane_gate
+from .core import _lane_groups, _lane_width, _lcs_steps, _packed_match_table, insdel_distance
 from .decode import RSCode, brute_force_list_recover, rs_encode
 
 
@@ -277,15 +277,21 @@ class ConcatParams:
         return math.floor((width / self.tau_hat + 2) * (lengths / self.tau_hat + 2))
 
     @cached_property
-    def inner_lanes(self) -> tuple[tuple[dict[int, int], int], Callable[[int, int], int]]:
-        """Packed LCS match table over every inner-encoder word, and its gate.
+    def inner_lanes(self) -> tuple[_LaneTable, list[int], int, list[int]]:
+        """(table, addends, top, index_masks) over every inner-encoder word.
 
-        Lane k holds inner.words[k], the word of (index, sym) with
-        divmod(k, symbol_count) = (index - 1, sym).  Built on the first
-        decode, then shared by every window start of every decode.
+        Lane k of the packed LCS table holds inner.words[k], the word of
+        (index, sym) with divmod(k, symbol_count) = (index - 1, sym);
+        index_masks[i] covers the lanes of index i + 1.  For every window
+        length L up to mu_hi * tau_hat_n, (counts + addends[L]) & top
+        flags the lanes within inner_radius of a window with LCS counter
+        counts.  Built on the first decode, then shared by every decode.
         """
-        words = [w.symbols for w in self.inner.words]
-        return _packed_match_table(words, self.n), _lane_gate(self.n, len(words))
+        words, n = [w.symbols for w in self.inner.words], self.n
+        table = _packed_match_table(words, n)
+        lengths = range(self.window_grid[2] * self.tau_hat_n + 1)
+        addends, top = _lane_gate(table, [_lane_budget(self.inner_radius, n, L) for L in lengths])
+        return table, addends, top, _lane_groups(n, len(words), self.inner.symbol_count)
 
     def index_for_position(self, i: int) -> int:
         """Cyclic encoder index carried by block position i (1-based)."""
@@ -524,13 +530,9 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
             f"[{max(0, total - params.radius)}, {total + params.radius}]"
         )
     windows = build_windows(params, M)
-    n = params.n
-    inner_radius = params.inner_radius
     E, p = params.eps_cont_N, params.outer.p
-    width = _lane_width(n)
-    table, gate = params.inner_lanes
-    # Lanes index*p .. index*p + p - 1 carry the words of one encoder index.
-    index_lanes = [((1 << p * width) - 1) << i * p * width for i in range(E)]
+    width = _lane_width(params.n)
+    table, addends, top, index_lanes = params.inner_lanes
     r_syms = r.symbols
     # hit_lanes[j] gathers the gate flags of every (index, sym) lane hit
     # by a window that position j is feasible for.
@@ -544,14 +546,14 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
         room = max(0, M - phi)
         # One recurrence per start, over its longest window.  Clipped
         # lengths min(mu * step, room) never decrease with mu, so the
-        # windows clipped to one length share one gate.
-        vectors = list(_lcs_steps(r_syms[phi : phi + min(mu_hi * step, room)], table))
+        # windows clipped to one length share one test.
+        counts = list(_lcs_steps(r_syms[phi : phi + min(mu_hi * step, room)], table))
         gated = -1
         for mu in range(mu_lo, mu_hi + 1):
             length = min(mu * step, room)
             if length != gated:
                 gated = length
-                flags = gate(vectors[length], _lane_budget(inner_radius, n, length))
+                flags = (counts[length] + addends[length]) & top
                 hits = flags.bit_count()
                 max_inner_list = max(max_inner_list, hits)
             match_total += hits

@@ -7,9 +7,11 @@ It is computed from the longest common subsequence:
     dist(a, b) = len(a) + len(b) - 2 * lcs(a, b)
 
 One bit-parallel kernel computes it: a match table over equal-length
-words, each in its own lane of a big int, and one recurrence that
-advances a word against every lane.  The distance uses a one-lane table;
-certification and the concat scan gate many lanes against one radius.
+words, each in its own (n+1)-bit lane of a big int, and one recurrence
+that advances a word against every lane and counts each lane's LCS in
+a packed counter.  The distance reads a one-lane counter; certification
+and the concat scan test every lane of a counter against one radius
+with one add.
 
 Deletion neighborhoods of a word are governed by its run-length
 structure, so the run decomposition helpers live here too.  A word is
@@ -24,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class InsdelError(Exception):
@@ -174,33 +176,29 @@ def iter_words(q: int, length: int) -> Iterator[Word]:
 
 
 def _lane_width(n: int) -> int:
-    """Bits per lane for words of length n: the least power of two >= max(n+1, 8).
+    """Bits per lane for words of length n: n + 1.
 
-    Bit n of every lane stays clear, so it absorbs the one carry a lane's
-    addition can produce, and whole bytes per lane let the lane popcount
-    of :func:`_lane_gate` start from byte counts.
+    Bits 0..n-1 of a lane hold the recurrence's bit vector; bit n stays
+    clear there and takes the one carry a lane's addition can produce.
+    A lane of the packed LCS counter holds at most n, so it fits too.
     """
-    return 1 << (n | 7).bit_length()
+    return n + 1
 
 
-def _lane_ones(width: int, lanes: int) -> int:
-    """The integer with bit k*width set for each k below lanes."""
-    return ((1 << width * lanes) - 1) // ((1 << width) - 1)
+# A packed LCS table (match, mask, ones, n), as _packed_match_table builds it.
+_LaneTable = tuple[dict[int, int], int, int, int]
 
 
-def _packed_match_table(
-    words: Sequence[tuple[int, ...]], n: int
-) -> tuple[dict[int, int], int]:
+def _packed_match_table(words: Sequence[tuple[int, ...]], n: int) -> _LaneTable:
     """The LCS match table over words of length n, word k in lane k.
 
-    The package's only table layout.  Lane k is bits [k*P, k*P + n) with
-    P = _lane_width(n): match[y] has bit k*P + j set iff words[k][j] == y,
-    and mask covers the n low bits of every lane.  One run of
-    :func:`_lcs_steps` over xs then advances the recurrence of xs against
-    every word at once: masking after each step drops the carry into bit
-    n of a lane, which goes no further because bit n is clear in both
-    summands, and v - u never borrows because u is a subset of v.  A
-    single word is the one-lane case, the table :func:`insdel_distance` uses.
+    The package's only table layout: (match, mask, ones, n).  Lane k is
+    bits [k*P, k*P + n] with P = _lane_width(n): match[y] has bit
+    k*P + j set iff words[k][j] == y, mask covers the n low bits of
+    every lane and ones bit 0 of every lane.  One run of
+    :func:`_lcs_steps` over xs then advances the recurrence of xs
+    against every word at once.  A single word is the one-lane case,
+    the table :func:`insdel_distance` uses.
     """
     width = _lane_width(n)
     match: dict[int, int] = {}
@@ -211,57 +209,36 @@ def _packed_match_table(
         for j, y in enumerate(ys, start):
             match[y] = match.get(y, 0) | 1 << j
         start += width
-    # _lane_ones(width, len(words)) inlined: insdel_distance builds a
-    # one-lane table per call.
-    return match, ((1 << n) - 1) * ((1 << start) - 1) // ((1 << width) - 1)
+    ones = ((1 << start) - 1) // ((1 << width) - 1)
+    return match, ((1 << n) - 1) * ones, ones, n
 
 
 def _lane_budget(radius: int, n: int, length: int) -> int:
     """The gate budget that flags the lane words within radius of a length-`length` xs.
 
-    A lane word is n + length - 2*lcs from xs and its lane holds n - lcs set bits.
+    A lane word is n + length - 2*lcs from xs: within radius iff n - lcs <= budget.
     """
     return (radius + n - length) // 2
 
 
-def _lane_gate(n: int, lanes: int) -> Callable[[int, int], int]:
-    """Test every lane of a packed LCS vector against one set-bit budget.
+def _lane_gate(table: _LaneTable, budgets: Sequence[int]) -> tuple[list[int], int]:
+    """The lane test of a packed table's LCS counters, once per budget.
 
-    The returned gate(v, most) has the top bit of lane k set exactly
-    when lane k of v holds at most `most` set bits, i.e. when
-    n - lcs(words[k], xs) <= most for the xs that produced v.  It
-    counts each lane's bits by sideways addition (byte counts, then
-    log2(P/8) folds that add neighbouring halves) and adds the bias
-    2**(P-1) - 1 - most to every lane, whose top bit is then set
-    exactly when the count exceeds `most`.  No sum leaves its lane:
-    counts stay at most n and the bias below 2**(P-1).
+    Returns (addends, top): (counts + addends[i]) & top has bit n of
+    lane k set exactly when n - lcs_k <= budgets[i], i.e. lcs_k >= t for
+    t = n - budgets[i] clamped to [0, n + 1].  One add of 2**n - t in
+    every lane carries lane k into bit n exactly then, and one and keeps
+    those bits.  No sum leaves its lane, as lcs_k <= n < 2**n and
+    2**n - t >= 0.
     """
-    width = _lane_width(n)
-    bits = width * lanes
-    ones = _lane_ones(width, lanes)
-    top = ones << width - 1
-    half = (1 << width - 1) - 1
-    bytes_ = _lane_ones(8, bits // 8)
-    m1, m2, m4 = 0x55 * bytes_, 0x33 * bytes_, 0x0F * bytes_
-    # Fold s adds the high half of each 2s-bit block into its low half.
-    folds = [
-        (s, ((1 << s) - 1) * _lane_ones(2 * s, bits // (2 * s)))
-        for s in (8 << i for i in range((width // 8).bit_length() - 1))
-    ]
+    _, _, ones, n = table
+    return [((1 << n) - min(max(n - most, 0), n + 1)) * ones for most in budgets], ones << n
 
-    def gate(v: int, most: int) -> int:
-        if most < 0:
-            return 0
-        if most >= n:
-            return top
-        v -= (v >> 1) & m1
-        v = (v & m2) + ((v >> 2) & m2)
-        v = (v + (v >> 4)) & m4
-        for shift, keep in folds:
-            v = (v + (v >> shift)) & keep
-        return ~(v + (half - most) * ones) & top
 
-    return gate
+def _lane_groups(n: int, lanes: int, size: int) -> list[int]:
+    """Masks over lanes [i*size, (i+1)*size), one per i, to split gate flags by group."""
+    span = size * _lane_width(n)
+    return [((1 << span) - 1) << i * span for i in range(-(-lanes // size))]
 
 
 def _flagged_lanes(flags: int, width: int) -> Iterator[int]:
@@ -272,22 +249,30 @@ def _flagged_lanes(flags: int, width: int) -> Iterator[int]:
         flags ^= low
 
 
-def _lcs_steps(xs: tuple[int, ...], table: tuple[dict[int, int], int]) -> Iterator[int]:
-    """Bit vector V of xs[:L] against the table's word(s), for L = 0..len(xs).
+def _lcs_steps(xs: tuple[int, ...], table: _LaneTable) -> Iterator[int]:
+    """Packed LCS counter of xs[:L] against the table's word(s), for L = 0..len(xs).
 
-    The one Hyyrö step of the package (Allison-Dix, Hyyrö): each symbol
-    of xs costs a mask, an addition, a subtraction and an or on the whole
-    vector.  Bit j of a lane of V is clear iff ys[j] raises the LCS over
-    ys[:j], where ys is that lane's word, so LCS(xs[:L], ys[:j]) =
-    j - (lane & (2**j - 1)).bit_count() for every j.
+    The one Hyyrö step of the package (Allison-Dix; Crochemore,
+    Iliopoulos, Pinzon & Reid; Hyyrö): each symbol of xs advances the
+    bit vector V of every lane with a mask, an addition, a subtraction
+    and an or.  A lane's LCS grows by one exactly when its addition
+    carries out of bit n - 1 into the lane's spare bit n, so three more
+    operations (shift, and, add) count it: lane k of the yielded
+    counter holds lcs(xs[:L], words[k]).  V stays internal.  Masking
+    after each step drops the carry, which goes no further because bit n
+    is clear in both summands, and v - u never borrows because u is a
+    subset of v.
     """
-    match, mask = table
+    match, mask, ones, n = table
     v = mask
-    yield v
+    counts = 0
+    yield counts
     for x in xs:
         u = v & match.get(x, 0)
-        v = ((v + u) | (v - u)) & mask
-        yield v
+        s = v + u
+        counts += (s >> n) & ones
+        v = (s | (v - u)) & mask
+        yield counts
 
 
 def lcs_length(a: Word, b: Word) -> int:
@@ -313,10 +298,9 @@ def insdel_distance(a: Word, b: Word) -> int:
     if len(xs) > len(ys):
         xs, ys = ys, xs
     n = len(ys)
-    for v in _lcs_steps(xs, _packed_match_table((ys,), n)):
+    for lcs in _lcs_steps(xs, _packed_match_table((ys,), n)):
         pass
-    # ys has n - lcs bits set in v, and len(xs) + n - 2 * lcs = the distance.
-    return len(xs) - n + 2 * v.bit_count()
+    return len(xs) + n - 2 * lcs
 
 
 def count_runs(w: Word) -> int:

@@ -128,8 +128,8 @@ def certify_list_decodable(
     the enumeration space) and requires a seed.
 
     Both modes build one packed LCS table with a lane per codeword; each
-    center then costs one recurrence and one lane gate, and violates when
-    the gate flags more than L codewords within tau_n of it.
+    center then costs one LCS-counting recurrence and one lane gate, and
+    violates when the gate flags more than L codewords within tau_n of it.
     """
     if tau_n < 0 or L < 1:
         raise DomainError("need tau_n >= 0 and L >= 1")
@@ -137,21 +137,22 @@ def certify_list_decodable(
     lengths = _admissible_lengths(n, tau_n)
     words = [w.symbols for w in c.words]
     table = _packed_match_table(words, n)
-    gate = _lane_gate(n, len(words))
+    addends, top = _lane_gate(table, [_lane_budget(tau_n, n, m) for m in lengths])
+    first = lengths[0]
 
     def violates(center: tuple[int, ...]) -> bool:
-        for v in _lcs_steps(center, table):
+        for counts in _lcs_steps(center, table):
             pass
-        return gate(v, _lane_budget(tau_n, n, len(center))).bit_count() > L
+        return ((counts + addends[len(center) - first]) & top).bit_count() > L
 
     if mode == "exhaustive":
-        # q**top bounds the total below, so a huge total is refused unbuilt.
-        top = lengths[-1]
-        if _power_exceeds(q, top, _CERTIFY_CENTER_LIMIT) or (
+        # q**longest bounds the total below, so a huge total is refused unbuilt.
+        longest = lengths[-1]
+        if _power_exceeds(q, longest, _CERTIFY_CENTER_LIMIT) or (
             sum(q ** m for m in lengths) > _CERTIFY_CENTER_LIMIT
         ):
             raise CapacityError(
-                f"centers of lengths {lengths[0]}..{top} over q = {q} exceed the "
+                f"centers of lengths {first}..{longest} over q = {q} exceed the "
                 f"exhaustive limit {_CERTIFY_CENTER_LIMIT}; use mode='sampled'"
             )
         for m in lengths:

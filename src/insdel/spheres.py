@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .bounds import entropy_q
 from .core import (
@@ -92,19 +93,21 @@ def enumerate_insertion_sphere(s: Word, n2: int) -> set[Word]:
     return {Word._unchecked(syms, s.q) for syms in level}
 
 
-def _deletion_sphere_sizes(s: Word, n2: int) -> list[int]:
-    """Exact sizes of the deletion spheres of s of radius 0..n2.
+def _deletion_sphere_rows(s: Word, n2: int) -> Iterator[list[int]]:
+    """Deletion-sphere sizes of radius 0..n2 of every prefix of s, shortest first.
 
-    The sphere of radius d holds the distinct length-(|s|-d)
-    subsequences of s, counted prefix by prefix with the last-occurrence
-    recurrence.  A subsequence of s[:i] with d deletions is one of
-    s[:i-1] with d - 1 deletions, or one of s[:i-1] with d deletions
-    followed by x = s[i-1].  The two kinds share the words that can
-    already end at p, the previous occurrence of x: those of s[:p-1]
-    with d - (i - p) deletions, followed by x, which are subtracted
-    once.  O(|s| * n2) big-int additions, keeping one row per symbol.
+    Row i holds the number of distinct length-(i-d) subsequences of
+    s[:i] for d = 0..n2, counted with the last-occurrence recurrence; the
+    last row is the sphere sizes of s itself.  A subsequence of s[:i]
+    with d deletions is one of s[:i-1] with d - 1 deletions, or one of
+    s[:i-1] with d deletions followed by x = s[i-1].  The two kinds
+    share the words that can already end at p, the previous occurrence
+    of x: those of s[:p-1] with d - (i - p) deletions, followed by x,
+    which are subtracted once.  O(|s| * n2) big-int additions, keeping
+    one row per symbol.
     """
     row = [1] + [0] * n2  # the empty prefix
+    yield row
     before: dict[int, tuple[int, list[int]]] = {}
     for i, x in enumerate(s.symbols, 1):
         new = [row[0]] + [row[d - 1] + row[d] for d in range(1, n2 + 1)]
@@ -114,15 +117,18 @@ def _deletion_sphere_sizes(s: Word, n2: int) -> list[int]:
                 new[d] -= old[d - (i - p)]
         before[x] = (i, row)
         row = new
-    return row
+        yield row
 
 
 def enumerate_deletion_sphere(s: Word, n2: int) -> set[Word]:
     """All distinct length-(|s|-n2) subsequences of s."""
     if not 0 <= n2 <= len(s):
         raise DomainError(f"cannot delete {n2} symbols from a word of length {len(s)}")
-    # The BFS holds the sphere of every radius up to n2 in turn.
-    if max(_deletion_sphere_sizes(s, n2)) > _ENUM_LIMIT:
+    # The BFS holds the sphere of every radius up to n2 in turn.  A
+    # subsequence of s[:i] with d deletions, extended by s[i:], is a
+    # distinct one of s, so each prefix row bounds the sphere sizes from
+    # below and the first row above the limit already refuses.
+    if any(max(row) > _ENUM_LIMIT for row in _deletion_sphere_rows(s, n2)):
         raise CapacityError(
             f"{n2} deletions pass through a sphere above the {_ENUM_LIMIT} element limit"
         )

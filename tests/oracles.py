@@ -120,8 +120,8 @@ HOST_WIDE = {
 }
 
 
-def lcs_ref(xs, ys) -> int:
-    """Full-matrix LCS table; the production code uses a bit-parallel kernel."""
+def lcs_matrix_ref(xs, ys) -> list[list[int]]:
+    """Full-matrix LCS table: entry [i][j] is lcs(xs[:i], ys[:j])."""
     rows, cols = len(xs), len(ys)
     table = [[0] * (cols + 1) for _ in range(rows + 1)]
     for i in range(1, rows + 1):
@@ -130,7 +130,12 @@ def lcs_ref(xs, ys) -> int:
                 table[i][j] = table[i - 1][j - 1] + 1
             else:
                 table[i][j] = max(table[i - 1][j], table[i][j - 1])
-    return table[rows][cols]
+    return table
+
+
+def lcs_ref(xs, ys) -> int:
+    """LCS length from the full matrix; the production code uses a bit-parallel kernel."""
+    return lcs_matrix_ref(xs, ys)[-1][-1]
 
 
 def distance_ref(xs, ys) -> int:

@@ -31,6 +31,7 @@ from insdel.concat import (
 )
 from insdel.codes import philox_generator
 from insdel.core import BoundViolationError, DomainError, RegimeWarning, insdel_distance, word
+from insdel.core import _flagged_lanes, _lane_budget, _lane_gate, _lane_width
 from insdel.decode import rs_encode
 from oracles import (
     DESK,
@@ -506,6 +507,38 @@ def test_inner_scan_counts_match_full_matrix_reference(instance, seeds):
         assert report.window_count == len(hits), seed
         assert (report.inner_match_total, report.max_inner_list) == (sum(hits), max(hits)), seed
         assert [set(entries) for entries in report.position_lists] == lists, seed
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [DESK, DESK_FRACTIONAL, HOST_N6, HOST_WIDE, SHARP],
+    ids=["desk", "desk-fractional", "host-n6", "host-wide", "sharp"],
+)
+def test_inner_lanes_addends_match_the_lane_gate(instance):
+    """Each window length's addend flags the lanes the gate flags at its budget.
+
+    For every length L from 0 to the longest window, mu_hi * step, and
+    for counters that put every value 0..n in every lane, the addend
+    inner_lanes keeps for L must flag the same lanes as the gate at
+    _lane_budget(inner_radius, n, L).  index_masks[i] must cover exactly
+    the lanes of encoder index i + 1.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        params = make_concat_params(**instance)
+    n, lanes, p = params.n, len(params.inner.words), params.outer.p
+    width = _lane_width(n)
+    table, addends, top, index_masks = params.inner_lanes
+    assert len(addends) == params.window_grid[2] * params.tau_hat_n + 1
+    for L, addend in enumerate(addends):
+        (gate,), gate_top = _lane_gate(table, [_lane_budget(params.inner_radius, n, L)])
+        assert top == gate_top
+        for shift in range(n + 1):
+            counts = sum((k + shift) % (n + 1) << k * width for k in range(lanes))
+            assert (counts + addend) & top == (counts + gate) & top, (L, shift)
+    assert [list(_flagged_lanes(mask & top, width)) for mask in index_masks] == [
+        list(range(i * p, (i + 1) * p)) for i in range(params.eps_cont_N)
+    ]
 
 
 def test_position_lists_print_in_sorted_order(desk_fractional):

@@ -31,7 +31,7 @@ from insdel.core import (
     word,
 )
 
-from oracles import all_tuples, distance_ref, lcs_ref
+from oracles import all_tuples, distance_ref, lcs_matrix_ref
 
 
 def words_strategy(max_q=5, max_len=12):
@@ -75,20 +75,23 @@ def test_lcs_rejects_mixed_alphabets():
         insdel_distance(word((0,), 2), word((0,), 4))
 
 
-def last_vector(xs, table):
-    *_, v = _lcs_steps(xs, table)
-    return v
+def counters(xs, table):
+    return list(_lcs_steps(xs, table))
 
 
 @given(sized_pairs_strategy())
 def test_lcs_matches_full_matrix_reference(pair):
-    # Up to 100 symbols, so the kernel's carries cross big-int digits.
+    """The counter after every prefix of a, against every prefix of b.
+
+    Up to 100 symbols, so the kernel's carries cross big-int digits.  A
+    b-prefix is read from a table built over that prefix.
+    """
     a, b = pair
-    assert lcs_length(a, b) == lcs_ref(a.symbols, b.symbols)
-    bits = last_vector(a.symbols, _packed_match_table((b.symbols,), len(b)))
-    for j in range(len(b) + 1):
-        prefix_lcs = j - (bits & ((1 << j) - 1)).bit_count()
-        assert prefix_lcs == lcs_ref(a.symbols, b.symbols[:j])
+    xs, ys = a.symbols, b.symbols
+    ref = lcs_matrix_ref(xs, ys)
+    assert lcs_length(a, b) == ref[-1][-1]
+    for j in range(len(ys) + 1):
+        assert counters(xs, _packed_match_table((ys[:j],), j)) == [row[j] for row in ref]
 
 
 @given(st.integers(2, 5).flatmap(lambda q: st.tuples(
@@ -104,74 +107,80 @@ def test_one_match_table_serves_every_query(case):
     ys = tuple(ys)
     table = _packed_match_table((ys,), len(ys))
     for xs in map(tuple, queries):
-        v = last_vector(xs, table)
-        assert len(ys) - v.bit_count() == lcs_ref(xs, ys)
-        assert v == last_vector(xs, _packed_match_table((ys,), len(ys)))
+        steps = counters(xs, table)
+        assert steps == [row[-1] for row in lcs_matrix_ref(xs, ys)]
+        assert steps == counters(xs, _packed_match_table((ys,), len(ys)))
 
 
 def check_lanes(words, xs):
-    """Packed table, stepwise recurrence and lane gate against lcs_ref.
+    """Packed table, stepwise counter and lane gate against lcs_matrix_ref.
 
-    After every prefix xs[:L], L = 0 included, lane k must hold the
-    vector of xs[:L] against words[k] (one cleared bit per LCS symbol of
-    each prefix of words[k], nothing above bit n, nothing between lanes),
-    and the gate must flag exactly the lanes with at most `most` set
-    bits, for every budget from below zero to above n.  Through
-    _lane_budget it must flag exactly the words within each insdel
-    radius of xs[:L].
+    After every prefix xs[:L], L = 0 included, lane k of the counter
+    must hold lcs(xs[:L], words[k]), with nothing above the last lane;
+    a table over the j-symbol prefixes of the words must count
+    lcs(xs[:L], words[k][:j]) the same way.  The gate's add must flag,
+    at bit n of lane k and nowhere else, exactly the lanes with
+    n - lcs <= `most`, for every budget from below zero to above n, and
+    through _lane_budget exactly the words within each insdel radius of
+    xs[:L].  Returns the final LCS of every lane.
     """
-    n = len(words[0])
+    n, lanes = len(words[0]), len(words)
+    refs = [lcs_matrix_ref(xs, ys) for ys in words]
+    for j in range(n + 1):
+        width = _lane_width(j)
+        steps = counters(xs, _packed_match_table([ys[:j] for ys in words], j))
+        assert len(steps) == len(xs) + 1
+        for L, counts in enumerate(steps):
+            assert counts >> width * lanes == 0
+            assert [counts >> k * width & (1 << width) - 1 for k in range(lanes)] == [
+                ref[L][j] for ref in refs
+            ], (j, L)
+    # The last pass, j = n, left the counters of the whole words in steps.
     width = _lane_width(n)
-    lane_bits = (1 << width) - 1
     table = _packed_match_table(words, n)
-    gate = _lane_gate(n, len(words))
-    vectors = list(_lcs_steps(xs, table))
-    assert len(vectors) == len(xs) + 1
-    for L, v in enumerate(vectors):
-        assert v >> width * len(words) == 0
-        counts = []
-        for k, ys in enumerate(words):
-            lane = v >> k * width & lane_bits
-            assert lane >> n == 0
-            for j in range(n + 1):
-                prefix_lcs = j - (lane & ((1 << j) - 1)).bit_count()
-                assert prefix_lcs == lcs_ref(xs[:L], ys[:j])
-            counts.append(lane.bit_count())
-        for most in range(-2, n + 2):
-            expected = sum(
-                1 << k * width + width - 1 for k, count in enumerate(counts) if count <= most
-            )
-            assert gate(v, most) == expected, (L, most)
-            assert list(_flagged_lanes(expected, width)) == [
-                k for k, count in enumerate(counts) if count <= most
-            ]
-        dists = [distance_ref(xs[:L], ys) for ys in words]
-        for radius in range(0, n + L + 2):
-            flags = gate(v, _lane_budget(radius, n, L))
+    mosts = range(-2, n + 2)
+    addends, top = _lane_gate(table, mosts)
+    assert top == sum(1 << k * width + n for k in range(lanes))
+    for L, counts in enumerate(steps):
+        lcs = [ref[L][n] for ref in refs]
+        for most, addend in zip(mosts, addends):
+            flags = (counts + addend) & top
+            assert flags == sum(1 << k * width + n for k, c in enumerate(lcs) if n - c <= most)
             assert list(_flagged_lanes(flags, width)) == [
+                k for k, c in enumerate(lcs) if n - c <= most
+            ], (L, most)
+        dists = [distance_ref(xs[:L], ys) for ys in words]
+        radii = range(0, n + L + 2)
+        by_radius, _ = _lane_gate(table, [_lane_budget(radius, n, L) for radius in radii])
+        for radius, addend in zip(radii, by_radius):
+            assert list(_flagged_lanes((counts + addend) & top, width)) == [
                 k for k, d in enumerate(dists) if d <= radius
             ], (L, radius)
+    return lcs
 
 
-def test_lane_width_is_the_least_power_of_two_above_n_and_seven():
+def test_lane_width_is_n_plus_one():
+    """Bit n of a lane is the carry bit: the vector uses bits 0..n-1."""
     for n in range(0, 70):
-        width = _lane_width(n)
-        assert width & (width - 1) == 0
-        assert width >= max(n + 1, 8)
-        assert width == 8 or width // 2 < n + 1
-    assert [_lane_width(n) for n in (3, 7, 8, 15, 16)] == [8, 8, 16, 16, 32]
+        assert _lane_width(n) == n + 1
+        match, mask, ones, size = _packed_match_table([(0,) * n, (1,) * n], n)
+        assert size == n
+        assert ones == 1 | 1 << n + 1
+        assert mask == ones * ((1 << n) - 1)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 15, 16])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 15, 16, 31, 32, 63, 64])
 def test_lanes_of_repeated_symbols(n):
     """All-equal words and windows give the longest carry runs in a lane.
 
-    n = 7 and 15 fill a lane up to its spare bit (n + 1 = P), n = 16
-    doubles P, n <= 3 uses the minimum lane of one byte; symbol 3 occurs
-    in no word.
+    The all-zero window drives the counters of (0,)*n and of the two
+    words with one 1 up to n and n - 1, so the gate adds a full counter
+    to the largest addend; n = 31, 32, 63 and 64 put lane boundaries
+    on and next to big-int digit boundaries; symbol 3 occurs in no word.
     """
     words = [(0,) * n, (1,) * n, (0,) * (n - 1) + (1,), (1,) + (0,) * (n - 1), (2,) * n]
-    for xs in [(0,) * (2 * n + 1), (1,) * n + (0,) * n, (3,) * (n + 2), (0, 3, 1, 3, 2) * 2, ()]:
+    assert check_lanes(words, (0,) * (2 * n + 1)) == [n, 0, n - 1, n - 1, 0]
+    for xs in [(1,) * n + (0,) * n, (3,) * (n + 2), (0, 3, 1, 3, 2) * 2, ()]:
         check_lanes(words, xs)
 
 

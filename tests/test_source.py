@@ -17,3 +17,82 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def functions(path: Path):
+    """(qualified name, node) for every function and method in a module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+                yield f"{path.stem}.{owner}{child.name}", child
+
+
+def name_pair(node: ast.AST, op: type) -> frozenset | None:
+    """{a, b} when node is `a <op> b` over two names, else None."""
+    if (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, op)
+        and isinstance(node.left, ast.Name)
+        and isinstance(node.right, ast.Name)
+    ):
+        return frozenset((node.left.id, node.right.id))
+    return None
+
+
+def runs_a_bit_vector_step(fn: ast.AST) -> bool:
+    """Whether fn ors v + u with v - u, directly or through a name bound to v + u."""
+    sums = {
+        node.targets[0].id: name_pair(node.value, ast.Add)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Assign)
+        and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+        and name_pair(node.value, ast.Add)
+    }
+    for node in ast.walk(fn):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+            for total, diff in ((node.left, node.right), (node.right, node.left)):
+                pair = name_pair(diff, ast.Sub)
+                summed = name_pair(total, ast.Add)
+                if isinstance(total, ast.Name):
+                    summed = sums.get(total.id)
+                if pair and pair == summed:
+                    return True
+    return False
+
+
+def test_one_lcs_kernel():
+    """The Hyyrö update, (v + u) | (v - u), is written only in core._lcs_steps."""
+    found = [
+        name
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for name, fn in functions(path)
+        if runs_a_bit_vector_step(fn)
+    ]
+    assert found == ["core._lcs_steps"]
+
+
+def test_decoders_do_no_lane_arithmetic_of_their_own():
+    """Lane layout, masks and thresholds come from core.
+
+    A function of concat.py or decode.py that touches the LCS lanes (a
+    core `_lane*`, `_lcs*`, `_packed*` or `_flagged*` helper, or
+    `inner_lanes`) shifts nothing, so no second gate, popcount or
+    threshold can be written there.
+    """
+    prefixes = ("_lane", "_lcs", "_packed", "_flagged", "inner_lanes")
+    shifting = []
+    for module in ("concat.py", "decode.py"):
+        for name, fn in functions(PACKAGE / module):
+            nodes = list(ast.walk(fn))
+            names = {n.id for n in nodes if isinstance(n, ast.Name)}
+            names |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+            names.add(fn.name)
+            if any(ref.startswith(prefixes) for ref in names) and any(
+                isinstance(n, ast.BinOp) and isinstance(n.op, (ast.LShift, ast.RShift))
+                for n in nodes
+            ):
+                shifting.append(name)
+    assert shifting == []

@@ -26,8 +26,9 @@ from insdel.spheres import (
     enumerate_insertion_sphere,
     insertion_sphere_size,
     repetition_ball_exact,
-    _deletion_sphere_sizes,
+    _deletion_sphere_rows,
 )
+from insdel import spheres
 
 from oracles import all_tuples, lcs_ref
 
@@ -130,7 +131,7 @@ def test_deletion_sphere_members_are_subsequences(s, n2):
 @given(small_words(max_q=4, max_len=8), st.integers(0, 8))
 def test_deletion_sphere_sizes_count_the_enumeration(s, n2):
     n2 = min(n2, len(s))
-    sizes = _deletion_sphere_sizes(s, n2)
+    *_, sizes = _deletion_sphere_rows(s, n2)
     assert sizes == [len(enumerate_deletion_sphere(s, k)) for k in range(n2 + 1)]
     if len(s):
         for k, size in enumerate(sizes):
@@ -141,12 +142,26 @@ def test_deletion_sphere_sizes_count_the_enumeration(s, n2):
 def test_deletion_sphere_refuses_an_intermediate_blowup():
     center = word((0, 1, 2) * 13 + (0,), 3)
     # The last level is small, but the BFS passes through levels of millions of words.
-    sizes = _deletion_sphere_sizes(center, 38)
+    *_, sizes = _deletion_sphere_rows(center, 38)
     assert sizes[38] == 9 and max(sizes) > 10 ** 6
     with pytest.raises(CapacityError):
         enumerate_deletion_sphere(center, 38)
     with pytest.raises(CapacityError):
         enumerate_ball_fixed_length(BallQuery(center=center, radius=28, target_len=12))
+
+
+@given(small_words(max_q=4, max_len=10), st.integers(0, 10), st.integers(0, 80))
+def test_deletion_sphere_refusal_reads_the_full_sizes(s, n2, limit):
+    """Refusing at the first prefix row over the limit decides like the full row."""
+    n2 = min(n2, len(s))
+    *_, sizes = _deletion_sphere_rows(s, n2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spheres, "_ENUM_LIMIT", limit)
+        if max(sizes) > limit:
+            with pytest.raises(CapacityError, match=f"above the {limit} element limit"):
+                enumerate_deletion_sphere(s, n2)
+        else:
+            assert len(enumerate_deletion_sphere(s, n2)) == sizes[n2]
 
 
 @pytest.mark.parametrize(
