@@ -14,13 +14,16 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from .codes import Seed, check_seed, philox_generator
-from .core import DomainError, ScriptError, Word
+from .core import CapacityError, DomainError, ScriptError, Word
 
 if TYPE_CHECKING:
     import numpy as np
 
 DELETE = "del"
 INSERT = "ins"
+
+# A random script is drawn and applied whole in memory, so its insertions are capped.
+_INSERTION_LIMIT = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -104,12 +107,15 @@ def random_channel(w: Word, n_ins: int, n_del: int, seed: Seed) -> tuple[Word, E
     """Uniformly random channel: n_del deletions then n_ins insertions.
 
     Output length is always len(w) + n_ins - n_del, and the distance to
-    w is at most n_ins + n_del.  Deterministic per seed.
+    w is at most n_ins + n_del.  Deterministic per seed.  More than 10^6
+    insertions raise CapacityError before anything is drawn.
     """
     if n_ins < 0 or n_del < 0:
         raise DomainError("operation counts must be nonnegative")
     if n_del > len(w):
         raise DomainError(f"cannot delete {n_del} symbols from a word of length {len(w)}")
+    if n_ins > _INSERTION_LIMIT:
+        raise CapacityError(f"{n_ins} insertions exceed the channel limit {_INSERTION_LIMIT}")
     rng = philox_generator(seed)
     script = EditScript(tuple(_random_script_ops(rng, w.q, len(w), n_ins, n_del)))
     return apply_script(w, script), script

@@ -81,6 +81,9 @@ CURVE_KINDS = (
 
 CSV_HEADER = "x,rate_raw,rate_clamped,list_size_class,flag"
 
+# A sweep is rendered whole in memory, so its row count is capped.
+_CURVE_STEP_LIMIT = 10 ** 6
+
 
 @dataclass(frozen=True)
 class CurveRequest:
@@ -100,6 +103,8 @@ class CurveRequest:
             raise DomainError("a sweep needs at least 2 steps")
         if self.q < 2:
             raise DomainError("alphabet size must be at least 2")
+        if self.steps > _CURVE_STEP_LIMIT:
+            raise CapacityError(f"{self.steps} steps exceed the sweep limit {_CURVE_STEP_LIMIT}")
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:

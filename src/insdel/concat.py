@@ -7,8 +7,8 @@ what lets the decoder place a locally decoded symbol into the right
 outer positions.  Decoding scans a grid of candidate windows over the
 received word, list-decodes each window against the inner encoder's
 whole domain, and narrows the admissible block positions for every hit
-by exact interval arithmetic before handing the accumulated position
-lists to brute-force outer list recovery.
+window to one interval by exact arithmetic before handing the
+accumulated position lists to brute-force outer list recovery.
 
 Every edit count is an integer, so ConcatParams turns its rational
 radii into whole edit counts once (radius, inner_radius) and the
@@ -46,7 +46,7 @@ from typing import Iterator, Sequence
 from .codes import Code, Seed, sample_word_sequence
 from .core import BoundViolationError, DomainError, InsdelError, RegimeWarning, Word
 from .core import FractionLike, _LaneTable, _flagged_lanes, _frac, _lane_budget, _lane_gate
-from .core import _lane_groups, _lane_width, _lcs_steps, _packed_match_table, insdel_distance
+from .core import _lane_width, _lcs_steps, _packed_match_table, insdel_distance
 from .decode import RSCode, brute_force_list_recover, rs_encode
 
 
@@ -277,21 +277,21 @@ class ConcatParams:
         return math.floor((width / self.tau_hat + 2) * (lengths / self.tau_hat + 2))
 
     @cached_property
-    def inner_lanes(self) -> tuple[_LaneTable, list[int], int, list[int]]:
-        """(table, addends, top, index_masks) over every inner-encoder word.
+    def inner_lanes(self) -> tuple[_LaneTable, list[int], int]:
+        """(table, addends, top) over every inner-encoder word.
 
         Lane k of the packed LCS table holds inner.words[k], the word of
-        (index, sym) with divmod(k, symbol_count) = (index - 1, sym);
-        index_masks[i] covers the lanes of index i + 1.  For every window
-        length L up to mu_hi * tau_hat_n, (counts + addends[L]) & top
-        flags the lanes within inner_radius of a window with LCS counter
-        counts.  Built on the first decode, then shared by every decode.
+        (index, sym) with divmod(k, symbol_count) = (index - 1, sym).
+        For every window length L up to mu_hi * tau_hat_n, (counts +
+        addends[L]) & top flags the lanes within inner_radius of a window
+        with LCS counter counts.  Built on the first decode, then shared
+        by every decode.
         """
         words, n = [w.symbols for w in self.inner.words], self.n
         table = _packed_match_table(words, n)
         lengths = range(self.window_grid[2] * self.tau_hat_n + 1)
         addends, top = _lane_gate(table, [_lane_budget(self.inner_radius, n, L) for L in lengths])
-        return table, addends, top, _lane_groups(n, len(words), self.inner.symbol_count)
+        return table, addends, top
 
     def index_for_position(self, i: int) -> int:
         """Cyclic encoder index carried by block position i (1-based)."""
@@ -473,42 +473,40 @@ def align_window(sp: int, length: int, tau_hat_n: int) -> Window:
     return Window(phi=lam * tau_hat_n, lambda_len=mu * tau_hat_n, lam=lam, mu=mu)
 
 
-def feasible_jN(i: int, lam: int, mu: int, params: ConcatParams, M: int) -> set[int]:
-    """Block-position residue classes a window can speak about.
+def feasible_jN(lam: int, mu: int, params: ConcatParams, M: int) -> range:
+    """Zero-based block positions a window can speak about.
 
-    i is the zero-based encoder index (index minus one).  A returned
-    value j_N corresponds to block position j = 1 + i + j_N * eps_cont_N.
-    The closed-form interval is guarded by the window-level feasibility
-    gates (inner radius, window-in-word, and the budget's emptiness
-    condition), which makes the result match a direct scan of the
-    per-position requirements; positions outside [1, N] are dropped.
+    Position j carries encoder index j mod eps_cont_N + 1, so the hits
+    of every index share one interval.  The closed-form interval is
+    guarded by the window-level feasibility gates (inner radius,
+    window-in-word, and the budget's emptiness condition), which makes
+    the result match a direct scan of the per-position requirements;
+    positions outside [0, N - 1] are dropped.
 
     Every quantity here is a whole number of edits, so each comparison
     with the rational radius tau * n * N uses its floor, params.radius,
     and the interval ends are integer ceil/floor divisions.
     """
-    if i < 0 or lam < 0 or mu < 0 or M < 0:
+    if lam < 0 or mu < 0 or M < 0:
         raise DomainError("feasibility inputs must be nonnegative")
     n, N = params.n, params.N
-    E = params.eps_cont_N
     radius = params.radius
     step = params.tau_hat_n
     sp = lam * step
     length = mu * step
     stretch = n - length
     if abs(stretch) > params.inner_radius:
-        return set()
+        return range(0)
     if sp > M - length:
-        return set()
+        return range(0)
     if abs((M - n * N) + stretch) + abs(stretch) > radius:
-        return set()
-    base = n * N - M + 2 * (sp - i * n)
-    den = 2 * E * n
-    first = max(0, -((radius - base + 2 * min(stretch, 0)) // den))
-    last = min((base - 2 * max(stretch, 0) + radius) // den, (N - 1 - i) // E)
-    if (last - first) * E * n > radius:
-        raise BoundViolationError("feasible position count exceeded tau/eps_cont + 1")
-    return set(range(first, last + 1))
+        return range(0)
+    base = n * N - M + 2 * sp
+    first = max(0, -((radius - base + 2 * min(stretch, 0)) // (2 * n)))
+    last = min((base - 2 * max(stretch, 0) + radius) // (2 * n), N - 1)
+    if (last - first) * n > radius:
+        raise BoundViolationError("feasible block positions span more than radius / n")
+    return range(first, last + 1)
 
 
 def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeReport:
@@ -532,10 +530,10 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
     windows = build_windows(params, M)
     E, p = params.eps_cont_N, params.outer.p
     width = _lane_width(params.n)
-    table, addends, top, index_lanes = params.inner_lanes
+    table, addends, top = params.inner_lanes
     r_syms = r.symbols
     # hit_lanes[j] gathers the gate flags of every (index, sym) lane hit
-    # by a window that position j is feasible for.
+    # by a window that position j is feasible for, whatever the index.
     hit_lanes = [0] * params.N
     match_total = 0
     max_inner_list = 0
@@ -559,14 +557,14 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
             match_total += hits
             if not hits:
                 continue
-            for i in range(E):
-                part = flags & index_lanes[i]
-                if not part:
-                    continue
-                for j_N in feasible_jN(i, lam, mu, params, M):
-                    hit_lanes[i + j_N * E] |= part
+            for j in feasible_jN(lam, mu, params, M):
+                hit_lanes[j] |= flags
 
-    lists = [[k % p for k in _flagged_lanes(bits, width)] for bits in hit_lanes]
+    # Position j keeps only the lanes of the index it carries, j mod E.
+    lists = [
+        [k % p for k in _flagged_lanes(bits, width) if k // p == j % E]
+        for j, bits in enumerate(hit_lanes)
+    ]
     mass = sum(len(entries) for entries in lists)
     cap = len(windows) * max_inner_list * (params.tau / params.eps_cont + 1)
     if mass > cap:

@@ -235,12 +235,6 @@ def _lane_gate(table: _LaneTable, budgets: Sequence[int]) -> tuple[list[int], in
     return [((1 << n) - min(max(n - most, 0), n + 1)) * ones for most in budgets], ones << n
 
 
-def _lane_groups(n: int, lanes: int, size: int) -> list[int]:
-    """Masks over lanes [i*size, (i+1)*size), one per i, to split gate flags by group."""
-    span = size * _lane_width(n)
-    return [((1 << span) - 1) << i * span for i in range(-(-lanes // size))]
-
-
 def _flagged_lanes(flags: int, width: int) -> Iterator[int]:
     """Lane numbers, ascending, of the set bits of flags (one per lane)."""
     while flags:

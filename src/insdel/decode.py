@@ -125,7 +125,9 @@ def certify_list_decodable(
     m in [max(0, n - tau_n), n + tau_n] in length-then-lexicographic
     order, so a returned witness is the first violation in that order.
     Sampled mode draws centers with lengths weighted by q**m (matching
-    the enumeration space) and requires a seed.
+    the enumeration space) and requires a seed.  Either mode raises
+    CapacityError past 10^7 centers: exhaustive mode on the size of the
+    center space, sampled mode on samples.
 
     Both modes build one packed LCS table with a lane per codeword; each
     center then costs one LCS-counting recurrence and one lane gate, and
@@ -167,6 +169,8 @@ def certify_list_decodable(
         raise DomainError("sampled mode requires a seed")
     if samples < 1:
         raise DomainError("need at least one sample")
+    if samples > _CERTIFY_CENTER_LIMIT:
+        raise CapacityError(f"{samples} samples exceed the center limit {_CERTIFY_CENTER_LIMIT}")
     rng = philox_generator(seed)
     # A ticket picks the first length whose running total of q**m exceeds it.
     ends = list(itertools.accumulate(q ** m for m in lengths))

@@ -330,11 +330,13 @@ def test_c09_window_position_arithmetic(desk_params):
         for M in range(math.ceil((1 - params.tau) * total),
                        math.floor((1 + params.tau) * total) + 1):
             coords = {(w.lam, w.mu) for w in build_windows(params, M)}
-            for i in range(params.eps_cont_N):
-                for lam, mu in sorted(coords):
-                    assert feasible_jN(i, lam, mu, params, M) == brute_feasible(
-                        i, lam, mu, params, M
-                    )
+            E = params.eps_cont_N
+            for lam, mu in sorted(coords):
+                positions = feasible_jN(lam, mu, params, M)
+                # Index i + 1's share of the range, one past the last index too.
+                for i in range(E + 1):
+                    share = {(j - i) // E for j in positions if j >= i and (j - i) % E == 0}
+                    assert share == brute_feasible(i, lam, mu, params, M)
                     checked += 1
 
     rng = np.random.default_rng(606)

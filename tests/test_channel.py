@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from insdel import channel
 from insdel.channel import EditScript, adversarial_block_channel, apply_script, random_channel
-from insdel.core import DomainError, ScriptError, insdel_distance, word
+from insdel.core import CapacityError, DomainError, ScriptError, insdel_distance, word
 
 
 def test_apply_script_empty_is_identity():
@@ -95,6 +96,18 @@ def test_random_channel_validation():
         random_channel(w, 0, 3, seed=1)
     with pytest.raises(DomainError):
         random_channel(w, -1, 0, seed=1)
+
+
+def test_random_channel_insertion_cap(monkeypatch):
+    w = word((0, 1, 1), 2)
+    expected = random_channel(w, 4, 1, seed=3)
+    monkeypatch.setattr(channel, "_INSERTION_LIMIT", 4)
+    assert random_channel(w, 4, 1, seed=3) == expected
+    with pytest.raises(CapacityError, match="5 insertions exceed the channel limit 4"):
+        random_channel(w, 5, 1, seed=3)
+    # Deletion-side domain errors still come first.
+    with pytest.raises(DomainError):
+        random_channel(w, 5, 4, seed=3)
 
 
 def test_block_channel_zero_budgets():

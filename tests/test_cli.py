@@ -14,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from insdel import cli
 from insdel.channel import adversarial_block_channel, random_channel
-from insdel.cli import CURVE_KINDS, main
+from insdel.cli import CURVE_KINDS, CurveRequest, main
 from insdel.codes import code_to_json_dict, sample_random_code
 from insdel.concat import concat_encode_message, params_to_json_dict
-from insdel.core import format_word, iter_words, parse_word, word
+from insdel.core import CapacityError, format_word, iter_words, parse_word, word
 
 RANDOM_CODE_DIGEST = "37b80f99934c4ac587aab4656d2ef8e81c302153de2dc8482611955afdc1fdc3"
 LINEAR_CODE_DIGEST = "eff94d3e0c7ef5cb12d1629a6f8f526e98e9aa229bc77907a80e537712f406d8"
@@ -384,6 +385,34 @@ def test_curve_rejects_non_finite_floats(flag, value):
     assert result.stdout == ""
 
 
+def test_curve_step_cap(monkeypatch):
+    monkeypatch.setattr(cli, "_CURVE_STEP_LIMIT", 5)
+    CurveRequest(kind="singleton", q=2, epsilon=0.0, start=0.0, stop=1.0, steps=5)
+    with pytest.raises(CapacityError, match="6 steps exceed the sweep limit 5"):
+        CurveRequest(kind="singleton", q=2, epsilon=0.0, start=0.0, stop=1.0, steps=6)
+
+
+def test_oversized_requests_exit_4_before_any_work(tmp_path):
+    """Steps, insertions and samples past their caps are refused, not run.
+
+    Each would otherwise hold 10^8 rows or operations in memory, or draw
+    10^12 centers.
+    """
+    code_file = tmp_path / "code.json"
+    code_file.write_text(json.dumps(code_to_json_dict(sample_random_code(2, 4, 3, 1))))
+    for argv in (
+        ("curve", "--kind", "singleton", "--start", "0", "--stop", "0.5", "--steps", "100000000"),
+        ("channel", "-q", "2", "--word", "0101", "--ins", "100000000", "--seed", "1"),
+        ("certify", "--code-file", str(code_file), "--tau-n", "1", "-L", "2",
+         "--mode", "sampled", "--samples", str(10 ** 12), "--seed", "1"),
+    ):
+        result = run_cli(*argv, timeout=60)
+        assert result.returncode == 4, argv
+        assert result.stderr.startswith("error: ") and "exceed the" in result.stderr, argv
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
+
 def test_sampled_certify_beyond_int64_centers(tmp_path):
     # n = 40, tau_n = 30 gives sum(2**m for m in 10..70) > 2**63 candidate centers.
     code_file = tmp_path / "big.json"
@@ -417,7 +446,10 @@ def test_seeded_subcommands_are_byte_identical():
 
 # Alphabet sizes, lengths and radii stay tiny, so no drawn call comes near
 # an enumeration limit; other integers (seeds, counts, budgets) span -3..12.
+# Counts that size a whole output or run (--steps, --ins, --del, --samples)
+# also draw 10**12, which must be refused, not run.
 FUZZ_INTS = st.integers(-3, 12)
+FUZZ_COUNTS = FUZZ_INTS | st.just(10 ** 12)
 FUZZ_SIZES = st.integers(-3, 4)
 FUZZ_WORDS = st.text(alphabet="0123x,", max_size=8)
 FUZZ_SYMBOLS = st.lists(FUZZ_INTS, max_size=9).map(lambda xs: ",".join(map(str, xs)))
@@ -437,7 +469,7 @@ def _fuzz_options(paths) -> dict:
                  [("--mode", st.sampled_from(["fast", "oracle"]))]),
         "curve": ([("--kind", st.sampled_from(CURVE_KINDS + ("bogus",))),
                    ("--start", FUZZ_INTS.map(lambda v: v / 10)),
-                   ("--stop", FUZZ_INTS.map(lambda v: v / 10)), ("--steps", FUZZ_INTS)],
+                   ("--stop", FUZZ_INTS.map(lambda v: v / 10)), ("--steps", FUZZ_COUNTS)],
                   [q, ("--epsilon", st.sampled_from(["0", "0.01", "0.5", "1", "-1", "x"]))]),
         "gv-greedy": ([q, ("-n", FUZZ_SIZES), ("-d", FUZZ_SIZES)], []),
         "sample": ([q, ("-n", FUZZ_SIZES), ("--seed", FUZZ_INTS)],
@@ -445,9 +477,9 @@ def _fuzz_options(paths) -> dict:
                     ("--digest", FUZZ_FLAG), ("--json", FUZZ_FLAG)]),
         "certify": ([("--code-file", paths), ("--tau-n", FUZZ_SIZES), ("-L", FUZZ_INTS)],
                     [("--mode", st.sampled_from(["exhaustive", "sampled"])),
-                     ("--samples", FUZZ_INTS), ("--seed", FUZZ_INTS)]),
+                     ("--samples", FUZZ_COUNTS), ("--seed", FUZZ_INTS)]),
         "channel": ([q, ("--word", FUZZ_WORDS), ("--seed", FUZZ_INTS)],
-                    [("--ins", FUZZ_INTS), ("--del", FUZZ_INTS), ("--block-len", FUZZ_INTS),
+                    [("--ins", FUZZ_COUNTS), ("--del", FUZZ_COUNTS), ("--block-len", FUZZ_INTS),
                      ("--budgets", FUZZ_SYMBOLS)]),
         "concat-encode": ([("--params", paths)],
                           [("--message", FUZZ_SYMBOLS), ("--outer", FUZZ_SYMBOLS)]),

@@ -387,38 +387,56 @@ def test_align_window_stays_close():
         assert insdel_distance(r[sp : sp + length], win.content(r)) <= step
 
 
+def index_classes(positions: range, i: int, E: int) -> set[int]:
+    """The j_N with block position i + j_N * E in positions: index i + 1's share."""
+    return {(j - i) // E for j in positions if j >= i and (j - i) % E == 0}
+
+
+def check_feasible_against_scan(params, M, coords) -> None:
+    """feasible_jN's range, split by encoder index, equals brute_feasible.
+
+    Indices run to one past the last, which brute_feasible accepts too.
+    """
+    E = params.eps_cont_N
+    for lam, mu in coords:
+        positions = feasible_jN(lam, mu, params, M)
+        assert type(positions) is range
+        for i in range(E + 1):
+            assert index_classes(positions, i, E) == brute_feasible(
+                i, lam, mu, params, M
+            ), (M, lam, mu, i)
+
+
 def test_feasible_jN_pinned_example(host_n6):
-    positions = feasible_jN(1, 4, 4, host_n6, 48)
-    assert positions == {0}
-    assert {1 + 1 + j_N * host_n6.eps_cont_N for j_N in positions} == {2}
+    positions = feasible_jN(4, 4, host_n6, 48)
+    assert positions == range(1, 2)
+    assert index_classes(positions, 1, host_n6.eps_cont_N) == {0}
 
 
 def test_feasible_jN_matches_direct_scan(desk_params, desk_fractional):
+    # Off-grid coordinates too, on DESK at three received lengths.
     for M in (70, 80, 90):
-        for i in range(desk_params.eps_cont_N):
-            for lam in range(13):
-                for mu in range(9):
-                    assert feasible_jN(i, lam, mu, desk_params, M) == brute_feasible(
-                        i, lam, mu, desk_params, M
-                    )
-    # Non-integer radii: every decodable M, every index up to one past
-    # the last, every grid window.
-    params = desk_fractional
-    total = params.n * params.N
-    for M in range(total - params.radius, total + params.radius + 1):
-        coords = {(w.lam, w.mu) for w in build_windows(params, M)}
-        for i in range(params.eps_cont_N + 1):
-            for lam, mu in coords:
-                assert feasible_jN(i, lam, mu, params, M) == brute_feasible(
-                    i, lam, mu, params, M
-                )
+        check_feasible_against_scan(
+            desk_params, M, [(lam, mu) for lam in range(13) for mu in range(9)]
+        )
+    # Every decodable M and every grid window, on non-integer radii and
+    # on the other instances (HOST_N3 and HOST_WIDE: coarse or clipped
+    # grids; SHARP: n = 20, radius 16).
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        others = [make_concat_params(**inst) for inst in (HOST_N3, HOST_WIDE, SHARP)]
+    for params in [desk_fractional, *others]:
+        total = params.n * params.N
+        for M in range(max(0, total - params.radius), total + params.radius + 1):
+            coords = {(w.lam, w.mu) for w in build_windows(params, M)}
+            check_feasible_against_scan(params, M, sorted(coords))
 
 
 def test_feasible_jN_gates(desk_params):
-    assert feasible_jN(0, 0, 20, desk_params, 80) == set()
-    assert feasible_jN(0, 79, 6, desk_params, 80) == set()
+    assert feasible_jN(0, 20, desk_params, 80) == range(0)
+    assert feasible_jN(79, 6, desk_params, 80) == range(0)
     with pytest.raises(DomainError):
-        feasible_jN(-1, 0, 6, desk_params, 80)
+        feasible_jN(-1, 6, desk_params, 80)
 
 
 def test_zero_error_roundtrip(desk_params):
@@ -520,15 +538,14 @@ def test_inner_lanes_addends_match_the_lane_gate(instance):
     For every length L from 0 to the longest window, mu_hi * step, and
     for counters that put every value 0..n in every lane, the addend
     inner_lanes keeps for L must flag the same lanes as the gate at
-    _lane_budget(inner_radius, n, L).  index_masks[i] must cover exactly
-    the lanes of encoder index i + 1.
+    _lane_budget(inner_radius, n, L).
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
         params = make_concat_params(**instance)
-    n, lanes, p = params.n, len(params.inner.words), params.outer.p
+    n, lanes = params.n, len(params.inner.words)
     width = _lane_width(n)
-    table, addends, top, index_masks = params.inner_lanes
+    table, addends, top = params.inner_lanes
     assert len(addends) == params.window_grid[2] * params.tau_hat_n + 1
     for L, addend in enumerate(addends):
         (gate,), gate_top = _lane_gate(table, [_lane_budget(params.inner_radius, n, L)])
@@ -536,9 +553,6 @@ def test_inner_lanes_addends_match_the_lane_gate(instance):
         for shift in range(n + 1):
             counts = sum((k + shift) % (n + 1) << k * width for k in range(lanes))
             assert (counts + addend) & top == (counts + gate) & top, (L, shift)
-    assert [list(_flagged_lanes(mask & top, width)) for mask in index_masks] == [
-        list(range(i * p, (i + 1) * p)) for i in range(params.eps_cont_N)
-    ]
 
 
 def test_position_lists_print_in_sorted_order(desk_fractional):

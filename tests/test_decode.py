@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from insdel import decode
 from insdel.codes import Code, philox_generator, sample_random_code
 from insdel.core import CapacityError, DomainError, insdel_distance, iter_words, word
 from insdel.decode import (
@@ -80,6 +81,16 @@ def test_certify_exhaustive_capacity_guard():
     code = Code(q=2, n=20, words=frozenset({word((0,) * 20, 2), word((1,) * 20, 2)}))
     with pytest.raises(CapacityError, match="sampled"):
         certify_list_decodable(code, 3, 1)
+
+
+def test_certify_sampled_capacity_guard(monkeypatch):
+    # The exhaustive center limit caps samples; a run at the cap draws all
+    # of them (L = 4 admits every ball) and returns what it did before.
+    expected = certify_list_decodable(FULL_SQUARE, 1, 4, mode="sampled", samples=40, seed=5)
+    monkeypatch.setattr(decode, "_CERTIFY_CENTER_LIMIT", 40)
+    assert certify_list_decodable(FULL_SQUARE, 1, 4, mode="sampled", samples=40, seed=5) == expected
+    with pytest.raises(CapacityError, match="41 samples exceed the center limit 40"):
+        certify_list_decodable(FULL_SQUARE, 1, 4, mode="sampled", samples=41, seed=5)
 
 
 def test_certify_sampled_finds_the_crowding():
