@@ -8,7 +8,7 @@ outer positions.  Decoding scans a grid of candidate windows over the
 received word, list-decodes each window against the inner encoder's
 whole domain, and narrows the admissible block positions for every hit
 window to one interval by exact arithmetic before handing the
-accumulated position lists to brute-force outer list recovery.
+accumulated position lists to exhaustive outer list recovery.
 
 Every edit count is an integer, so ConcatParams turns its rational
 radii into whole edit counts once (radius, inner_radius) and the
@@ -23,9 +23,11 @@ representation.
 
 The decoder computes each invariant at the level where it stops
 changing: one LCS match table over every inner-domain word, each word
-in its own lane of a big integer, once per ConcatParams; the outer
-code's codebook once per RSCode; and the re-encoded list words without
-re-validating symbols that come from already-validated inner words.
+in its own lane of a big integer, and every block position's inner-word
+symbol tuples, once per ConcatParams; the outer code's codebook and its
+packed bit planes once per RSCode.  The recovered list is re-encoded in
+one batch from the block symbol tuples, without re-validating symbols
+that come from already-validated inner words.
 The scan walks the grid's (lam, mu) ranges directly.  It runs one
 bit-parallel LCS recurrence per window start, over the longest window
 content there, which counts the LCS of every domain word at once; each
@@ -41,6 +43,7 @@ from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 from .codes import Code, Seed, sample_word_sequence
@@ -277,6 +280,19 @@ class ConcatParams:
         return math.floor((width / self.tau_hat + 2) * (lengths / self.tau_hat + 2))
 
     @cached_property
+    def block_symbols(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per block position i (0-based), the symbols of its p inner words.
+
+        Block i carries encoder index i mod eps_cont_N + 1, so
+        block_symbols[i][sym] is the symbol tuple of the inner word of
+        (i mod eps_cont_N + 1, sym).  Built on first use.
+        """
+        words, E, p = self.inner.words, self.eps_cont_N, self.outer.p
+        return tuple(
+            tuple(w.symbols for w in words[(i % E) * p : (i % E + 1) * p]) for i in range(self.N)
+        )
+
+    @cached_property
     def inner_lanes(self) -> tuple[_LaneTable, list[int], int]:
         """(table, addends, top) over every inner-encoder word.
 
@@ -362,16 +378,28 @@ def concat_encode(params: ConcatParams, outer_codeword: Sequence[int]) -> Word:
         raise DomainError(
             f"outer codeword length {len(outer_codeword)} differs from N={params.N}"
         )
-    # Block i (0-based) carries encoder index i mod eps_cont_N, and the
-    # inner word for (index, sym) sits at index * p + sym; the blocks are
-    # inner encoder words over q, so the result needs no re-validation.
-    words, E, p = params.inner.words, params.eps_cont_N, params.outer.p
-    symbols: list[int] = []
-    for i, sym in enumerate(outer_codeword):
+    p = params.outer.p
+    for sym in outer_codeword:
         if not 0 <= sym < p:
             raise DomainError(f"outer symbol {sym} outside [0, {p})")
-        symbols += words[(i % E) * p + sym].symbols
-    return Word._unchecked(tuple(symbols), params.q)
+    return _concat_words(params, [outer_codeword])[0]
+
+
+def _concat_words(params: ConcatParams, outer_codewords: Sequence[Sequence[int]]) -> list[Word]:
+    """The concatenated words of outer codewords already checked to lie in [0, p)^N.
+
+    Each word joins the block symbol tuples its symbols pick out of
+    params.block_symbols; the blocks are inner encoder words over q, so
+    the result needs no re-validation.
+    """
+    blocks, q = params.block_symbols, params.q
+    out = []
+    for cw in outer_codewords:
+        symbols: list[int] = []
+        for block in map(tuple.__getitem__, blocks, cw):
+            symbols += block
+        out.append(Word._unchecked(tuple(symbols), q))
+    return out
 
 
 def concat_encode_message(params: ConcatParams, message: Sequence[int]) -> Word:
@@ -514,7 +542,8 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
 
     Every grid window is list-decoded against the inner encoder's whole
     domain; each hit contributes its outer symbol to the position lists
-    of every feasible block position.  Outer recovery is brute force.
+    of every feasible block position.  Outer recovery tests every outer
+    codeword at once on the code's packed bit planes.
     If the received word is within (1 - alpha_out) * tau_in - eps_conc
     of a codeword (as a fraction of n*N), that codeword is in the output.
     """
@@ -575,9 +604,7 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
     outer_hits = brute_force_list_recover(
         params.outer, frozen, params.alpha_out, ell=params.ell_out
     )
-    encoded = sorted(
-        (concat_encode(params, cw) for cw in outer_hits), key=lambda w: w.symbols
-    )
+    encoded = sorted(_concat_words(params, outer_hits), key=attrgetter("symbols"))
     return ConcatDecodeReport(
         codewords=tuple(encoded),
         outer_codewords=tuple(outer_hits),

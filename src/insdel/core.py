@@ -11,7 +11,9 @@ words, each in its own (n+1)-bit lane of a big int, and one recurrence
 that advances a word against every lane and counts each lane's LCS in
 a packed counter.  The distance reads a one-lane counter; certification
 and the concat scan test every lane of a counter against one radius
-with one add.
+with one add.  The same lanes hold a Reed-Solomon codebook as bit
+planes, and the same add tests every lane's count of agreements with
+a list recovery's position lists.
 
 Deletion neighborhoods of a word are governed by its run-length
 structure, so the run decomposition helpers live here too.  A word is
@@ -24,6 +26,7 @@ bounds below stay meaningful for words with no zero symbol at all).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -185,6 +188,23 @@ def _lane_width(n: int) -> int:
     return n + 1
 
 
+def _pack_lanes(values: Sequence[int], width: int) -> int:
+    """sum(values[k] << k * width): each value, below 2**width, in lane k.
+
+    Neighbours are joined pairwise, doubling the width each round, so
+    every round touches each bit once and the whole join costs
+    O(bits * log(lanes)) instead of the quadratic cost of or-ing each
+    lane into one growing int.
+    """
+    values = list(values)
+    while len(values) > 1:
+        if len(values) % 2:
+            values.append(0)
+        values = [lo | hi << width for lo, hi in zip(values[::2], values[1::2])]
+        width *= 2
+    return values[0] if values else 0
+
+
 # A packed LCS table (match, mask, ones, n), as _packed_match_table builds it.
 _LaneTable = tuple[dict[int, int], int, int, int]
 
@@ -192,7 +212,7 @@ _LaneTable = tuple[dict[int, int], int, int, int]
 def _packed_match_table(words: Sequence[tuple[int, ...]], n: int) -> _LaneTable:
     """The LCS match table over words of length n, word k in lane k.
 
-    The package's only table layout: (match, mask, ones, n).  Lane k is
+    The package's LCS table layout: (match, mask, ones, n).  Lane k is
     bits [k*P, k*P + n] with P = _lane_width(n): match[y] has bit
     k*P + j set iff words[k][j] == y, mask covers the n low bits of
     every lane and ones bit 0 of every lane.  One run of
@@ -201,16 +221,80 @@ def _packed_match_table(words: Sequence[tuple[int, ...]], n: int) -> _LaneTable:
     the table :func:`insdel_distance` uses.
     """
     width = _lane_width(n)
-    match: dict[int, int] = {}
-    start = 0
+    rows: list[dict[int, int]] = []
     for ys in words:
         if len(ys) != n:
-            raise BoundViolationError(f"packed word {start // width} has length {len(ys)}, not {n}")
-        for j, y in enumerate(ys, start):
-            match[y] = match.get(y, 0) | 1 << j
-        start += width
-    ones = ((1 << start) - 1) // ((1 << width) - 1)
+            raise BoundViolationError(f"packed word {len(rows)} has length {len(ys)}, not {n}")
+        row: dict[int, int] = {}
+        for j, y in enumerate(ys):
+            row[y] = row.get(y, 0) | 1 << j
+        rows.append(row)
+    symbols = dict.fromkeys(y for row in rows for y in row)
+    match = {y: _pack_lanes([row.get(y, 0) for row in rows], width) for y in symbols}
+    ones = ((1 << len(rows) * width) - 1) // ((1 << width) - 1)
     return match, ((1 << n) - 1) * ones, ones, n
+
+
+# A packed bit-plane table (planes, ones, n), as _packed_plane_table builds
+# it: ones and n as in _LaneTable.
+_PlaneTable = tuple[list[int], int, int]
+
+
+def _packed_plane_table(words: Sequence[tuple[int, ...]], n: int, q: int) -> _PlaneTable:
+    """Bit planes of words of length n over {0..q-1}, word k in lane k.
+
+    Lanes are laid out as in :func:`_packed_match_table`, but a symbol is
+    stored by its bits: planes[b] has bit k*P + j set iff bit b of
+    words[k][j] is set, for b below the bit length of q - 1.  That is
+    log2(q) planes where a match table would hold q ints.  Each word is
+    first spread into one int holding all of its planes, plane b at bit
+    b*P, from a per-symbol table; each plane is then cut out of those
+    ints and its lanes joined by :func:`_pack_lanes`.
+    """
+    width = _lane_width(n)
+    depth = (q - 1).bit_length()
+    spread = [
+        sum((y >> b & 1) << b * width for b in range(depth)) for y in range(q)
+    ]
+    shifts = range(n)
+    rows = [sum(map(operator.lshift, map(spread.__getitem__, ys), shifts)) for ys in words]
+    lane = (1 << width) - 1
+    planes = [
+        _pack_lanes([row >> b * width & lane for row in rows], width) for b in range(depth)
+    ]
+    ones = ((1 << len(rows) * width) - 1) // ((1 << width) - 1)
+    return planes, ones, n
+
+
+def _lane_agreements(table: _PlaneTable, lists: Sequence[Iterable[int]]) -> int:
+    """Packed per-lane count of the positions j whose symbol lies in lists[j].
+
+    For each symbol s any list holds, the planes (where s has a one
+    bit) and their complements (where it has a zero) are anded,
+    starting from the lanes' bits of the positions whose list holds s;
+    what is left marks the lanes and positions holding s.  Or-ing those
+    marks over every s and adding the n slices shifted to bit 0 counts
+    each lane's agreements, at most n, in its lane.  A symbol with a
+    bit above the planes is held by no word and agrees nowhere.
+    """
+    planes, ones, n = table
+    positions: dict[int, int] = {}
+    for j, entries in enumerate(lists):
+        for s in entries:
+            positions[s] = positions.get(s, 0) | 1 << j
+    agree = 0
+    for s, where in positions.items():
+        if s >> len(planes):
+            continue
+        marks = where * ones
+        for b, plane in enumerate(planes):
+            # marks & ~plane without building the negative int ~plane.
+            marks = marks & plane if s >> b & 1 else marks ^ (marks & plane)
+        agree |= marks
+    counts = 0
+    for j in range(n):
+        counts += agree >> j & ones
+    return counts
 
 
 def _lane_budget(radius: int, n: int, length: int) -> int:
@@ -221,26 +305,32 @@ def _lane_budget(radius: int, n: int, length: int) -> int:
     return (radius + n - length) // 2
 
 
-def _lane_gate(table: _LaneTable, budgets: Sequence[int]) -> tuple[list[int], int]:
-    """The lane test of a packed table's LCS counters, once per budget.
+def _lane_gate(table: _LaneTable | _PlaneTable, budgets: Sequence[int]) -> tuple[list[int], int]:
+    """The lane test of a packed table's per-lane counters, once per budget.
 
-    Returns (addends, top): (counts + addends[i]) & top has bit n of
-    lane k set exactly when n - lcs_k <= budgets[i], i.e. lcs_k >= t for
-    t = n - budgets[i] clamped to [0, n + 1].  One add of 2**n - t in
-    every lane carries lane k into bit n exactly then, and one and keeps
-    those bits.  No sum leaves its lane, as lcs_k <= n < 2**n and
-    2**n - t >= 0.
+    A counter holds c_k <= n in lane k: an LCS from :func:`_lcs_steps`
+    or an agreement count from :func:`_lane_agreements`.  Returns
+    (addends, top): (counts + addends[i]) & top has bit n of lane k set
+    exactly when n - c_k <= budgets[i], i.e. c_k >= t for t = n -
+    budgets[i] clamped to [0, n + 1].  One add of 2**n - t in every lane
+    carries lane k into bit n exactly then, and one and keeps those
+    bits.  No sum leaves its lane, as c_k <= n < 2**n and 2**n - t >= 0.
     """
-    _, _, ones, n = table
+    ones, n = table[-2:]
     return [((1 << n) - min(max(n - most, 0), n + 1)) * ones for most in budgets], ones << n
 
 
 def _flagged_lanes(flags: int, width: int) -> Iterator[int]:
-    """Lane numbers, ascending, of the set bits of flags (one per lane)."""
-    while flags:
-        low = flags & -flags
-        yield (low.bit_length() - 1) // width
-        flags ^= low
+    """Lane numbers, ascending, of the set bits of flags (one per lane).
+
+    One pass over the binary string, lowest bit first, so the cost is
+    linear in the size of flags however many lanes are flagged.
+    """
+    bits = format(flags, "b")[::-1]
+    at = bits.find("1")
+    while at >= 0:
+        yield at // width
+        at = bits.find("1", at + 1)
 
 
 def _lcs_steps(xs: tuple[int, ...], table: _LaneTable) -> Iterator[int]:

@@ -1,10 +1,15 @@
 """Brute-force list decoding, certification, and the outer code.
 
-Everything here is exact and enumeration-based.  The outer code is a
-plain Reed-Solomon evaluation code over a prime field with brute-force
-list recovery; that stands in, interface-compatibly, for the fast
-list-recoverable codes the concatenated construction assumes, whose
-algebraic decoding internals are out of scope at desk scale.
+Everything here is exact.  List decoding and certification check every
+codeword, certification on a packed LCS table with one lane per
+codeword.  The outer code is a plain Reed-Solomon evaluation code over
+a prime field whose list recovery tests every codeword at once: its
+codebook is packed once into bit planes, one lane per codeword, and a
+recovery counts every lane's agreements with the position lists in a
+few big-integer operations per listed symbol.  That stands in,
+interface-compatibly, for the fast list-recoverable codes the
+concatenated construction assumes, whose algebraic decoding internals
+are out of scope at desk scale.
 """
 
 from __future__ import annotations
@@ -18,8 +23,10 @@ from typing import NamedTuple, Sequence
 
 from .bounds import _fixed_split_rate, large_q_list_size
 from .codes import Code, Seed, _is_prime, philox_generator, sample_random_code
-from .core import CapacityError, DomainError, FractionLike, Word, _frac, _lane_budget, _lane_gate
-from .core import _lcs_steps, _packed_match_table, _power_exceeds, format_word, insdel_distance
+from .core import CapacityError, DomainError, FractionLike, Word, _PlaneTable, _flagged_lanes
+from .core import _frac, _lane_agreements, _lane_budget, _lane_gate, _lane_width, _lcs_steps
+from .core import _packed_match_table, _packed_plane_table, _power_exceeds, format_word
+from .core import insdel_distance
 
 _CERTIFY_CENTER_LIMIT = 10 ** 7
 _RECOVER_SPAN_LIMIT = 10 ** 6
@@ -81,6 +88,15 @@ class RSCode:
             rs_encode(self, message)
             for message in itertools.product(range(self.p), repeat=self.k)
         )
+
+    @cached_property
+    def codebook_planes(self) -> _PlaneTable:
+        """The codebook as packed bit planes, codebook[k] in lane k; built on first use.
+
+        About log2(p) * p**K * (N + 1) bits, well under the codebook's
+        tuples.  Raises CapacityError as codebook does.
+        """
+        return _packed_plane_table(self.codebook, self.n, self.p)
 
 
 def brute_force_list_decode(c: Code, r: Word, radius: int) -> DecodeResult:
@@ -266,12 +282,15 @@ def brute_force_list_recover(
 ) -> list[tuple[int, ...]]:
     """All codewords agreeing with the position lists on >= alpha*N spots.
 
-    Pure enumeration of the p**K codewords of the code's codebook; exact
-    and deterministic, with output sorted lexicographically.  alpha is
-    taken as an exact rational, so a codeword is kept when it agrees on
-    at least ceil(alpha*N) positions.  When ell is given, the total list
-    mass sum(|A_i|) is checked against it up front, before the codebook
-    is built; a code above the enumeration limit raises CapacityError.
+    Every one of the p**K codewords is tested at once on the code's
+    packed bit planes (RSCode.codebook_planes): one count of each
+    lane's agreements with the lists, one lane gate, and the flagged
+    lanes looked up in the codebook.  Exact and deterministic, with
+    output sorted lexicographically.  alpha is taken as an exact
+    rational, so a codeword is kept when it agrees on at least
+    ceil(alpha*N) positions.  When ell is given, the total list mass
+    sum(|A_i|) is checked against it up front, before the codebook is
+    built; a code above the enumeration limit raises CapacityError.
     """
     exact = _frac(alpha, "alpha")
     if not 0 <= exact <= 1:
@@ -284,13 +303,11 @@ def brute_force_list_recover(
     mass = sum(len(entries) for entries in lists)
     if ell is not None and mass > ell:
         raise DomainError(f"total list mass {mass} exceeds the budget ell = {ell}")
-    codebook = code.codebook
+    table = code.codebook_planes
     threshold = math.ceil(exact * code.n)
-    sets = [frozenset(entries) for entries in lists]
-    out = [
-        codeword
-        for codeword in codebook
-        if sum(map(frozenset.__contains__, sets, codeword)) >= threshold
-    ]
+    (addend,), top = _lane_gate(table, [code.n - threshold])
+    flags = (_lane_agreements(table, lists) + addend) & top
+    codebook = code.codebook
+    out = [codebook[k] for k in _flagged_lanes(flags, _lane_width(code.n))]
     out.sort()
     return out

@@ -2,7 +2,8 @@
 
 Everything here is written independently of the code under test: the
 LCS reference is a full-matrix dynamic program, the feasibility scan
-walks the per-position gates one at a time, and the batched LCS is a
+walks the per-position gates one at a time, list recovery evaluates
+every message polynomial on its own, and the batched LCS is a
 numpy re-derivation used where exhaustive sweeps would otherwise be too
 slow to run inside a test.
 """
@@ -308,6 +309,24 @@ def brute_feasible(i: int, lam: int, mu: int, params, M: int) -> set[int]:
             continue
         out.add(j_n)
     return out
+
+
+def brute_list_recover(code, lists, alpha) -> list[tuple[int, ...]]:
+    """Reed-Solomon list recovery by evaluating every message on its own.
+
+    Each message's polynomial is evaluated at every point as a sum of
+    powers (no codebook, no Horner step, no lanes); a codeword is kept
+    when at least ceil(alpha * N) of its symbols lie in their position's
+    list.  Sorted lexicographically.
+    """
+    p, points = code.p, code.points
+    threshold = math.ceil(Fraction(alpha) * len(points))
+    out = []
+    for message in itertools.product(range(p), repeat=code.k):
+        codeword = tuple(sum(m * pow(x, i, p) for i, m in enumerate(message)) % p for x in points)
+        if sum(1 for s, allowed in zip(codeword, lists) if s in allowed) >= threshold:
+            out.append(codeword)
+    return sorted(out)
 
 
 def windows_ref(params, M: int) -> set:

@@ -1,6 +1,7 @@
 """Distance, run-profile, and word plumbing checks."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -13,11 +14,14 @@ from insdel.core import (
     RunProfile,
     Word,
     _flagged_lanes,
+    _lane_agreements,
     _lane_budget,
     _lane_gate,
     _lane_width,
     _lcs_steps,
+    _pack_lanes,
     _packed_match_table,
+    _packed_plane_table,
     _power_exceeds,
     count_runs,
     format_word,
@@ -202,6 +206,93 @@ def test_lanes_of_repeated_symbols(n):
 def test_lanes_match_full_matrix_reference(case):
     words, xs = case
     check_lanes(words, xs)
+
+
+def or_loop_match_table(words, n):
+    """The match table built by or-ing 1 << j into one growing int per symbol."""
+    width = n + 1
+    match = {}
+    start = 0
+    for ys in words:
+        for j, y in enumerate(ys, start):
+            match[y] = match.get(y, 0) | 1 << j
+        start += width
+    ones = ((1 << start) - 1) // ((1 << width) - 1)
+    return match, ((1 << n) - 1) * ones, ones, n
+
+
+@given(
+    st.integers(0, 17).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(0, 5), min_size=n, max_size=n).map(tuple), max_size=40
+        ).map(lambda words: (words, n))
+    )
+)
+def test_packed_match_table_equals_the_or_loop(case):
+    words, n = case
+    built, ref = _packed_match_table(words, n), or_loop_match_table(words, n)
+    assert built == ref
+    assert list(built[0].items()) == list(ref[0].items())
+
+
+def lane_flag_cases(lanes, width, rng):
+    """Flags 0, each single lane's bit, every lane, and random bits."""
+    yield 0
+    for k in range(lanes):
+        yield 1 << k * width + rng.randrange(width)
+    yield sum(1 << k * width + width - 1 for k in range(lanes))
+    for _ in range(5):
+        yield rng.getrandbits(lanes * width)
+
+
+def test_flagged_lanes_and_pack_lanes_equal_reference_loops():
+    rng = random.Random(12)
+    for n in (1, 5, 8, 20):
+        for width in range(1, n + 2):
+            for lanes in (1, 2, 7, 64):
+                for flags in lane_flag_cases(lanes, width, rng):
+                    assert list(_flagged_lanes(flags, width)) == [
+                        i // width for i in range(flags.bit_length()) if flags >> i & 1
+                    ]
+                    values = [flags >> k * width & (1 << width) - 1 for k in range(lanes)]
+                    packed = 0
+                    for k, value in enumerate(values):
+                        packed |= value << k * width
+                    assert _pack_lanes(values, width) == packed == flags
+    assert _pack_lanes([], 3) == 0
+
+
+@given(
+    st.sampled_from([2, 3, 5, 11, 16, 17]).flatmap(
+        lambda q: st.integers(0, 9).flatmap(
+            lambda n: st.tuples(
+                st.just(q),
+                st.lists(
+                    st.lists(st.integers(0, q - 1), min_size=n, max_size=n).map(tuple),
+                    max_size=12,
+                ),
+                # Symbols q .. 2q + 1 are held by no word, some above every plane.
+                st.lists(st.frozensets(st.integers(0, 2 * q + 1)), min_size=n, max_size=n),
+            )
+        )
+    )
+)
+def test_plane_table_and_agreements_match_per_lane_counts(case):
+    q, words, lists = case
+    n = len(lists)
+    width = _lane_width(n)
+    planes, ones, size = _packed_plane_table(words, n, q)
+    assert size == n and len(planes) == (q - 1).bit_length()
+    assert ones == sum(1 << k * width for k in range(len(words)))
+    for b, plane in enumerate(planes):
+        assert plane == sum(
+            1 << k * width + j for k, ys in enumerate(words) for j, y in enumerate(ys) if y >> b & 1
+        )
+    counts = _lane_agreements((planes, ones, n), lists)
+    assert [counts >> k * width & (1 << width) - 1 for k in range(len(words))] == [
+        sum(y in allowed for y, allowed in zip(ys, lists)) for ys in words
+    ]
+    assert counts >> len(words) * width == 0
 
 
 def test_power_exceeds_matches_the_built_power():

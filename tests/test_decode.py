@@ -1,6 +1,7 @@
 """List decoding, ball certification, and the Reed-Solomon outer code."""
 
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from insdel.decode import (
     rs_encode,
 )
 
-from oracles import all_tuples, distance_ref
+from oracles import all_tuples, brute_list_recover, distance_ref
 
 TWO_REPS = Code(q=2, n=2, words=frozenset({word((0, 0), 2), word((1, 1), 2)}))
 FULL_SQUARE = Code(q=2, n=2, words=frozenset(iter_words(2, 2)))
@@ -323,6 +324,50 @@ def test_rs_codebook_is_every_codeword_in_message_order():
     assert list(code.codebook) == expected
     assert code.codebook is code.codebook
     assert code == RSCode(p=5, k=2, points=(0, 1, 2, 3))
+
+
+@st.composite
+def recovery_cases(draw):
+    """A small RS code, position lists (some empty, some full) and an alpha.
+
+    alpha comes from {0, 1/2, 1} or is a random fraction in [0, 1], so
+    thresholds 0 and N both occur.
+    """
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    n = draw(st.integers(1, min(p, 8)))
+    k = draw(st.integers(1, min(n, 3 if p <= 7 else 2)))
+    points = draw(st.permutations(range(p)))[:n]
+    entry = st.one_of(
+        st.just(frozenset()),
+        st.just(frozenset(range(p))),
+        st.frozensets(st.integers(0, p - 1)),
+    )
+    lists = draw(st.lists(entry, min_size=n, max_size=n))
+    alpha = draw(
+        st.one_of(
+            st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]),
+            st.integers(1, 12).flatmap(
+                lambda d: st.integers(0, d).map(lambda a: Fraction(a, d))
+            ),
+        )
+    )
+    return RSCode(p=p, k=k, points=points), lists, alpha
+
+
+@settings(max_examples=150, deadline=None)
+@given(recovery_cases())
+def test_list_recover_matches_message_by_message_evaluation(case):
+    code, lists, alpha = case
+    assert brute_force_list_recover(code, lists, alpha) == brute_list_recover(code, lists, alpha)
+
+
+def test_codebook_planes_are_a_quarter_of_the_codebook_or_less():
+    code = RSCode(p=101, k=2, points=range(101))
+    planes, ones, n = code.codebook_planes
+    table = sum(map(sys.getsizeof, planes)) + sys.getsizeof(planes) + sys.getsizeof(ones)
+    codebook = sys.getsizeof(code.codebook) + sum(map(sys.getsizeof, code.codebook))
+    assert len(planes) == 7 and n == 101
+    assert 4 * table <= codebook
 
 
 def test_list_recover_threshold_is_exact():
