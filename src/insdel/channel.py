@@ -6,6 +6,12 @@ counted from 1.  A deletion removes the symbol at position p; an
 insertion places its symbol before position p, so p = 1 prepends and
 p = current length + 1 appends.  This makes scripts replayable and
 serializable without any global coordinate bookkeeping.
+
+Both channels apply each operation to a list of symbols as they draw
+it, so apply_script replays the returned script to the returned word.
+The draw order is the seeded stream contract: the block channel's
+delete-or-insert coin (only while the block is nonempty), then the
+position, then the inserted symbol.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ if TYPE_CHECKING:
 DELETE = "del"
 INSERT = "ins"
 
-# A random script is drawn and applied whole in memory, so its insertions are capped.
+# A random channel edits one list in memory, so its insertions are capped.
 _INSERTION_LIMIT = 10 ** 6
 
 
@@ -88,19 +94,21 @@ def apply_script(w: Word, script: EditScript) -> Word:
     return Word(tuple(syms), w.q)
 
 
-def _random_script_ops(
-    rng: np.random.Generator, q: int, start_len: int, n_ins: int, n_del: int
-) -> list[tuple]:
-    """Deletions first, then insertions; uniform positions and symbols."""
-    ops: list[tuple] = []
-    length = start_len
-    for _ in range(n_del):
-        ops.append((DELETE, int(rng.integers(1, length + 1))))
-        length -= 1
-    for _ in range(n_ins):
-        ops.append((INSERT, int(rng.integers(1, length + 2)), int(rng.integers(0, q))))
-        length += 1
-    return ops
+def _delete(rng: np.random.Generator, out: list[int], ops: list[tuple], offset: int) -> None:
+    """Delete a uniform symbol of out[offset:], recording the op in whole-word coordinates."""
+    pos = offset + int(rng.integers(1, len(out) - offset + 1))
+    del out[pos - 1]
+    ops.append((DELETE, pos))
+
+
+def _insert(
+    rng: np.random.Generator, out: list[int], ops: list[tuple], offset: int, q: int
+) -> None:
+    """Insert a uniform symbol at a uniform gap of out[offset:], drawing the position first."""
+    pos = offset + int(rng.integers(1, len(out) - offset + 2))
+    sym = int(rng.integers(0, q))
+    out.insert(pos - 1, sym)
+    ops.append((INSERT, pos, sym))
 
 
 def random_channel(w: Word, n_ins: int, n_del: int, seed: Seed) -> tuple[Word, EditScript]:
@@ -117,8 +125,13 @@ def random_channel(w: Word, n_ins: int, n_del: int, seed: Seed) -> tuple[Word, E
     if n_ins > _INSERTION_LIMIT:
         raise CapacityError(f"{n_ins} insertions exceed the channel limit {_INSERTION_LIMIT}")
     rng = philox_generator(seed)
-    script = EditScript(tuple(_random_script_ops(rng, w.q, len(w), n_ins, n_del)))
-    return apply_script(w, script), script
+    out = list(w.symbols)
+    ops: list[tuple] = []
+    for _ in range(n_del):
+        _delete(rng, out, ops, 0)
+    for _ in range(n_ins):
+        _insert(rng, out, ops, 0, w.q)
+    return Word._unchecked(tuple(out), w.q), EditScript(tuple(ops))
 
 
 def adversarial_block_channel(
@@ -128,10 +141,10 @@ def adversarial_block_channel(
 
     Block i gets its own Philox stream keyed by (seed, i), so blocks can
     be processed independently without changing the outcome.  Each block
-    script has exactly budgets[i] operations (a uniform coin picks delete
+    gets exactly budgets[i] operations (a uniform coin picks delete
     versus insert while deletion is possible), so the realized per-block
-    distance never exceeds the budget.  The returned script is the
-    concatenation of the block scripts with positions shifted into
+    distance never exceeds the budget.  Block i is edited as the tail of
+    the output once blocks 0..i-1 are done, so its ops are recorded in
     whole-word coordinates, in left-to-right application order.
     """
     import numpy as np
@@ -147,30 +160,15 @@ def adversarial_block_channel(
     for i, b in enumerate(budgets):
         if not 0 <= b <= 2 * block_len:
             raise DomainError(f"budget {b} for block {i} outside [0, 2*block_len]")
-    pieces: list[tuple[int, ...]] = []
-    global_ops: list[tuple] = []
-    offset = 0
+    out: list[int] = []
+    ops: list[tuple] = []
     for i, b in enumerate(budgets):
-        block = Word(c.symbols[i * block_len : (i + 1) * block_len], c.q)
+        offset = len(out)
+        out.extend(c.symbols[i * block_len : (i + 1) * block_len])
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, i))))
-        local_ops: list[tuple] = []
-        length = len(block)
         for _ in range(b):
-            if length > 0 and int(rng.integers(0, 2)) == 0:
-                local_ops.append((DELETE, int(rng.integers(1, length + 1))))
-                length -= 1
+            if len(out) > offset and int(rng.integers(0, 2)) == 0:
+                _delete(rng, out, ops, offset)
             else:
-                local_ops.append(
-                    (INSERT, int(rng.integers(1, length + 2)), int(rng.integers(0, c.q)))
-                )
-                length += 1
-        transformed = apply_script(block, EditScript(tuple(local_ops)))
-        for op in local_ops:
-            if op[0] == DELETE:
-                global_ops.append((DELETE, op[1] + offset))
-            else:
-                global_ops.append((INSERT, op[1] + offset, op[2]))
-        pieces.append(transformed.symbols)
-        offset += len(transformed)
-    result = Word(tuple(s for piece in pieces for s in piece), c.q)
-    return result, EditScript(tuple(global_ops))
+                _insert(rng, out, ops, offset, c.q)
+    return Word._unchecked(tuple(out), c.q), EditScript(tuple(ops))

@@ -158,12 +158,14 @@ def sample_random_linear_code(q: int, n: int, k: int, seed: Seed) -> LinearCode:
     to prime q: linearity needs field structure and nothing in this
     package requires extension fields.
     """
-    if not _is_prime(q):
-        raise DomainError(f"linear codes need a prime alphabet size, got {q}")
     if not 0 <= k <= n:
         raise DomainError(f"dimension k={k} must lie in [0, n={n}]")
-    if _power_exceeds(q, k, _LINEAR_SPAN_LIMIT):
+    # Trial division takes sqrt(q) steps, so a span too large to list is
+    # refused before q is tested for primality.
+    if q >= 2 and _power_exceeds(q, k, _LINEAR_SPAN_LIMIT):
         raise CapacityError(f"span size q^k = {q}^{k} exceeds limit {_LINEAR_SPAN_LIMIT}")
+    if not _is_prime(q):
+        raise DomainError(f"linear codes need a prime alphabet size, got {q}")
     rng = philox_generator(seed)
     while True:
         matrix = [[int(v) for v in rng.integers(0, q, size=n)] for _ in range(k)]
@@ -187,6 +189,8 @@ def greedy_gv_code(q: int, n: int, d: int) -> Code:
     insdel distance >= d from all current members.  The repetition words
     are pairwise at distance 2n, so they are always a valid seed set.
     """
+    if q < 2:
+        raise DomainError(f"alphabet size must be at least 2, got {q}")
     if n < 1:
         raise DomainError("greedy construction needs n >= 1")
     if not 0 < d <= 2 * n:

@@ -173,9 +173,15 @@ def parse_word(text: str, q: int) -> Word:
 
 
 def iter_words(q: int, length: int) -> Iterator[Word]:
-    """Iterate all q**length words of the given length in lexicographic order."""
-    for syms in itertools.product(range(q), repeat=length):
-        yield Word(syms, q)
+    """Iterate all q**length words of the given length in lexicographic order.
+
+    Bad arguments raise DomainError at the call, before anything is iterated.
+    """
+    if q < 2:
+        raise DomainError(f"alphabet size must be at least 2, got {q}")
+    if length < 0:
+        raise DomainError(f"word length must be nonnegative, got {length}")
+    return (Word(syms, q) for syms in itertools.product(range(q), repeat=length))
 
 
 def _lane_width(n: int) -> int:

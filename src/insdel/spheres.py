@@ -3,7 +3,7 @@
 Insertion spheres have a center-independent closed-form size.  Deletion
 spheres do not; their size is sandwiched by binomial expressions in the
 run count of the center.  Fixed-length ball slices are enumerated either
-by exhaustive scan (oracle mode) or by composing deletions with
+by exhaustive scan (oracle mode) or by one deletion sphere followed by
 insertions (fast mode), and bounded analytically through the run
 profile of the center.
 """
@@ -155,10 +155,12 @@ def enumerate_ball_fixed_length(qy: BallQuery, mode: str = "fast") -> set[Word]:
     """Words of length target_len within insdel distance radius of the center.
 
     Oracle mode scans all of Sigma_q^target_len and filters by distance.
-    Fast mode composes deletion spheres with insertion spheres: deleting
-    g symbols and inserting g + target_len - m reaches every member, with
-    g capped so the total edit count stays within the radius.  The two
-    modes agree exactly; tests rely on that.
+    Fast mode composes one deletion sphere with one insertion BFS: it
+    deletes the most symbols the radius allows, g_hi = min(m,
+    (radius + m - target_len) // 2), and inserts g_hi + target_len - m.
+    A word within the radius shares a subsequence of length m - g_hi
+    with the center, so fewer deletions reach no further member.  The
+    two modes agree exactly; tests rely on that.
     """
     if mode not in ("fast", "oracle"):
         raise DomainError(f"unknown mode {mode!r}; use 'fast' or 'oracle'")
@@ -172,12 +174,9 @@ def enumerate_ball_fixed_length(qy: BallQuery, mode: str = "fast") -> set[Word]:
         return set()
     if mode == "oracle":
         return {x for x in iter_words(q, n) if insdel_distance(center, x) <= radius}
-    out: set[tuple[int, ...]] = set()
-    g_lo = max(0, m - n)
     g_hi = min(m, (radius + m - n) // 2)
-    for g in range(g_lo, g_hi + 1):
-        shrunk = {w.symbols for w in enumerate_deletion_sphere(center, g)}
-        out |= _edit_levels(shrunk, g + n - m, [(a,) for a in range(q)], 0)
+    shrunk = {w.symbols for w in enumerate_deletion_sphere(center, g_hi)}
+    out = _edit_levels(shrunk, g_hi + n - m, [(a,) for a in range(q)], 0)
     return {Word._unchecked(syms, q) for syms in out}
 
 

@@ -1,5 +1,7 @@
 """Edit scripts and the two channel models."""
 
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -159,3 +161,35 @@ def test_block_channel_validation():
     for seed in (-1, 2 ** 128):
         with pytest.raises(DomainError):
             adversarial_block_channel(c, 2, [1, 1], seed=seed)
+
+
+CHANNEL_DIGEST = "9a704a4de90dd1e3ee84f53787c16ad9800394898e7f28efab4fc4e283b208c4"
+
+
+def test_channels_are_pinned():
+    """Seeded outputs and scripts of both channels, hashed; each script replays to its output."""
+    digest = hashlib.sha256()
+
+    def record(w, out, script):
+        assert apply_script(w, script) == out
+        digest.update(repr((out, script)).encode("ascii"))
+
+    for q in (2, 3, 4, 11):
+        for length in (0, 1, 2, 7):
+            w = word(tuple((5 * i * i + 3 * i + q) % q for i in range(length)), q)
+            for n_del in range(min(length, 3) + 1):
+                for n_ins in (0, 1, 4):
+                    seed = 1000 * q + 100 * length + 10 * n_del + n_ins
+                    record(w, *random_channel(w, n_ins, n_del, seed))
+        for block_len in (1, 2, 3):
+            top = 2 * block_len
+            for blocks in (0, 1, 3):
+                c = word(tuple((7 * i + q * block_len) % q for i in range(block_len * blocks)), q)
+                for budgets in (
+                    [0] * blocks,
+                    [top] * blocks,
+                    [(3 * j + q) % (top + 1) for j in range(blocks)],
+                ):
+                    seed = 2 ** 64 + 100 * q + 10 * block_len + blocks + sum(budgets)
+                    record(c, *adversarial_block_channel(c, block_len, budgets, seed))
+    assert digest.hexdigest() == CHANNEL_DIGEST

@@ -137,6 +137,11 @@ def test_gv_greedy_json(capsys):
     }
 
 
+def test_gv_greedy_rejects_small_alphabets(capsys):
+    assert main(["gv-greedy", "-q", "0", "-n", "3", "-d", "2"]) == 3
+    assert "alphabet size must be at least 2, got 0" in capsys.readouterr().err
+
+
 def test_sample_digest_pin(capsys):
     assert main(["sample", "-q", "2", "-n", "8", "-M", "16", "--seed", "42", "--digest"]) == 0
     assert capsys.readouterr().out == RANDOM_CODE_DIGEST + "\n"
@@ -338,6 +343,10 @@ CODE_N7 = json.dumps({"q": 2, "n": 7, "words": ["0000000", "0101101", "1011010",
         pytest.param(
             ("sample", "-q", "2", "-n", "15000", "--linear", "-k", "15000", "--seed", "1"), None, 4,
             id="linear-huge-dimension",
+        ),
+        pytest.param(
+            ("sample", "-q", str(2 ** 61 - 1), "-n", "1", "-k", "1", "--linear", "--seed", "1"),
+            None, 4, id="linear-huge-prime",
         ),
         # A 40-symbol ternary center: the deletion BFS passes through levels of millions of words.
         pytest.param(

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from insdel import codes
 from insdel.bounds import singleton_max_size
 from insdel.codes import (
     Code,
@@ -107,6 +108,18 @@ def test_sample_random_linear_code_needs_prime_field():
         sample_random_linear_code(3, 3, 4, 1)
 
 
+def test_sample_random_linear_code_refuses_huge_spans_before_primality(monkeypatch):
+    def no_trial_division(p):
+        raise AssertionError(f"_is_prime({p}) called")
+
+    monkeypatch.setattr(codes, "_is_prime", no_trial_division)
+    with pytest.raises(CapacityError):
+        sample_random_linear_code(2 ** 61 - 1, 1, 1, 1)
+    # A composite q whose span is too large is refused for capacity as well.
+    with pytest.raises(CapacityError):
+        sample_random_linear_code(1000, 3, 3, 1)
+
+
 @pytest.mark.parametrize(
     "q,n,d,expected",
     [
@@ -119,6 +132,12 @@ def test_sample_random_linear_code_needs_prime_field():
 def test_greedy_gv_code_pinned_outputs(q, n, d, expected):
     code = greedy_gv_code(q, n, d)
     assert {format_word(w) for w in code.words} == expected
+
+
+@pytest.mark.parametrize("q", [-1, 0, 1])
+def test_greedy_gv_code_needs_two_symbols(q):
+    with pytest.raises(DomainError, match=f"alphabet size must be at least 2, got {q}"):
+        greedy_gv_code(q, 3, 2)
 
 
 def test_greedy_gv_code_distance_and_seed_set():

@@ -445,3 +445,9 @@ def test_iter_words_is_lexicographic_and_complete():
     assert listing[-1] == word((1, 1, 1), 2)
     assert listing == sorted(listing, key=lambda w: w.symbols)
     assert len(list(iter_words(3, 0))) == 1
+
+
+@pytest.mark.parametrize("q,length", [(0, 3), (1, 2), (-2, 1), (2, -1)])
+def test_iter_words_rejects_bad_arguments_at_the_call(q, length):
+    with pytest.raises(DomainError):
+        iter_words(q, length)

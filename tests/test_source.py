@@ -96,3 +96,14 @@ def test_decoders_do_no_lane_arithmetic_of_their_own():
             ):
                 shifting.append(name)
     assert shifting == []
+
+
+def test_channels_do_not_replay_their_scripts():
+    """A channel applies each edit as it draws it; only apply_script replays a script."""
+    callers = [
+        name
+        for name, fn in functions(PACKAGE / "channel.py")
+        if name != "channel.apply_script"
+        and any(isinstance(n, ast.Name) and n.id == "apply_script" for n in ast.walk(fn))
+    ]
+    assert callers == []

@@ -1,6 +1,7 @@
 """Sphere enumeration, closed forms, and the ball-size exponent."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -234,6 +235,14 @@ def test_ball_fixed_length_mode_agreement():
                         assert fast == oracle
                         for member in fast:
                             assert insdel_distance(center, member) <= radius
+    rng = random.Random(7)
+    for _ in range(60):
+        q, m, n = rng.randint(2, 4), rng.randint(0, 7), rng.randint(0, 7)
+        center = word(tuple(rng.randrange(q) for _ in range(m)), q)
+        qy = BallQuery(center=center, radius=rng.randint(abs(m - n), m + n), target_len=n)
+        assert enumerate_ball_fixed_length(qy, mode="fast") == enumerate_ball_fixed_length(
+            qy, mode="oracle"
+        )
 
 
 def test_ball_fixed_length_rejects_unknown_mode_and_huge_spaces():
