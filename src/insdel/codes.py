@@ -32,6 +32,8 @@ Seed = int
 
 _GREEDY_SPACE_LIMIT = 200_000
 _LINEAR_SPAN_LIMIT = 10 ** 6
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIMALITY_LIMIT = 3317044064679887385961981
 
 
 @dataclass(frozen=True)
@@ -92,15 +94,35 @@ def philox_generator(seed: Seed) -> np.random.Generator:
 
 
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin on the first 13 primes as bases.
+
+    Exact for every p below _PRIMALITY_LIMIT = 3317044064679887385961981
+    (Sorenson and Webster, Math. Comp. 2017); larger p raise
+    CapacityError, since no base set here proves them prime.
+    """
+    if p >= _PRIMALITY_LIMIT:
+        raise CapacityError(
+            f"primality of a {p.bit_length()}-bit number is not decided at or above "
+            f"{_PRIMALITY_LIMIT}"
+        )
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for a in _PRIME_BASES:
+        if p % a == 0:
+            return p == a
+    # p - 1 = d * 2**s with d odd; (p - 1) & (1 - p) is its lowest set bit.
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    d = (p - 1) >> s
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -160,8 +182,7 @@ def sample_random_linear_code(q: int, n: int, k: int, seed: Seed) -> LinearCode:
     """
     if not 0 <= k <= n:
         raise DomainError(f"dimension k={k} must lie in [0, n={n}]")
-    # Trial division takes sqrt(q) steps, so a span too large to list is
-    # refused before q is tested for primality.
+    # A span too large to list is refused before q is tested for primality.
     if q >= 2 and _power_exceeds(q, k, _LINEAR_SPAN_LIMIT):
         raise CapacityError(f"span size q^k = {q}^{k} exceeds limit {_LINEAR_SPAN_LIMIT}")
     if not _is_prime(q):

@@ -25,9 +25,11 @@ The decoder computes each invariant at the level where it stops
 changing: one LCS match table over every inner-domain word, each word
 in its own lane of a big integer, and every block position's inner-word
 symbol tuples, once per ConcatParams; the outer code's codebook and its
-packed bit planes once per RSCode.  The recovered list is re-encoded in
-one batch from the block symbol tuples, without re-validating symbols
-that come from already-validated inner words.
+packed bit planes once per RSCode.  Each listed word is built once per
+ConcatParams: a word missing from the params' memo is built in one
+batch from the block symbol tuples, without re-validating symbols that
+come from already-validated inner words, and stored with an int key
+whose order is the words' symbol order, so the list is sorted by key.
 The scan walks the grid's (lam, mu) ranges directly.  It runs one
 bit-parallel LCS recurrence per window start, over the longest window
 content there, which counts the LCS of every domain word at once; each
@@ -43,7 +45,7 @@ from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .codes import Code, Seed, sample_word_sequence
@@ -157,6 +159,8 @@ class ConcatParams:
     inner_radius = floor(tau_in * n) the inner list-decoding radius; an
     integer edit count exceeds a rational bound exactly when it exceeds
     the bound's floor, so the decoder compares against these two ints.
+    The decoder's listed words are memoized per instance (listed_words):
+    each is built once, and the list is ordered by its int key.
     """
 
     N: int
@@ -308,6 +312,30 @@ class ConcatParams:
         lengths = range(self.window_grid[2] * self.tau_hat_n + 1)
         addends, top = _lane_gate(table, [_lane_budget(self.inner_radius, n, L) for L in lengths])
         return table, addends, top
+
+    @cached_property
+    def listed_words(
+        self,
+    ) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], tuple[int, Word]]]:
+        """(digits, memo): the decoder's memo of listed concatenated words.
+
+        digits[i][sym] is the lexicographic rank of block i's inner word
+        for sym, times p**(N - 1 - i), so sum(digits[i][c[i]]) is one int
+        key per outer codeword c.  Every block is n symbols long and a
+        block's p words are distinct, so integer order of the keys is
+        symbol order of the concatenated words.  memo maps an outer
+        codeword to (key, concatenated word); the decoder fills it with
+        recovered codebook members only, so it never holds more than
+        p**K entries.  Built on first use, then shared by every decode.
+        """
+        p, N = self.outer.p, self.N
+        digits = []
+        for i, block in enumerate(self.block_symbols):
+            scale, digit = p ** (N - 1 - i), [0] * p
+            for rank, sym in enumerate(sorted(range(p), key=block.__getitem__)):
+                digit[sym] = rank * scale
+            digits.append(tuple(digit))
+        return tuple(digits), {}
 
     def index_for_position(self, i: int) -> int:
         """Cyclic encoder index carried by block position i (1-based)."""
@@ -604,9 +632,16 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
     outer_hits = brute_force_list_recover(
         params.outer, frozen, params.alpha_out, ell=params.ell_out
     )
-    encoded = sorted(_concat_words(params, outer_hits), key=attrgetter("symbols"))
+    # Each listed word is built once per params; the list is ordered by
+    # its unique int key, which orders it by symbols.
+    digits, memo = params.listed_words
+    misses = [cw for cw in outer_hits if cw not in memo]
+    if misses:
+        for cw, word in zip(misses, _concat_words(params, misses)):
+            memo[cw] = (sum(map(tuple.__getitem__, digits, cw)), word)
+    entries = sorted(map(memo.__getitem__, outer_hits), key=itemgetter(0))
     return ConcatDecodeReport(
-        codewords=tuple(encoded),
+        codewords=tuple([word for _, word in entries]),
         outer_codewords=tuple(outer_hits),
         position_lists=frozen,
         window_count=len(windows),

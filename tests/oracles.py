@@ -359,3 +359,60 @@ def window_cap_ref(params) -> Fraction:
     width = (1 + params.tau) * params.N - max(Fraction(0), 1 - params.tau_star)
     lengths = min(2 * params.tau_star, 1 + params.tau_star)
     return (width / tau_hat + 2) * (lengths / tau_hat + 2)
+
+
+def is_prime_ref(n: int) -> bool:
+    """Primality by trial division up to sqrt(n); the package runs Miller-Rabin."""
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def strong_probable_prime(n: int, a: int) -> bool:
+    """Whether odd n > 2 passes the strong probable-prime test to base a.
+
+    Written out as the definition: with n - 1 = d * 2**s and d odd,
+    a**d = 1 or a**(d * 2**r) = -1 mod n for some 0 <= r < s.
+    """
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    return pow(a, d, n) == 1 or any(pow(a, d * 2 ** r, n) == n - 1 for r in range(s))
+
+
+def ball_bound_ref(center, n: int, tau: Fraction, q: int, slack: float = 2.0) -> float:
+    """The ball_size_upper_bound exponent, evaluated from its docstring formula.
+
+    The run profile is read off the center's symbols: w nonzero symbols,
+    and t of the w + 1 zero gaps around them empty, capped at w.  Then
+
+        g = (floor(tau*n) - n + m) / 2,  kappa* = (floor(tau*n) + n - m) / (2n),
+        B = 2w - t (q >= 3) or 2(w - t) + 2 (q = 2),
+        exponent = slack * log_q(n) + n * H_q(kappa*)
+                   + [g > 0] ((B + g) * H_q(g / (B + g)) - [q >= 3] g * log_q(q - 1)).
+    """
+
+    def entropy(x: float) -> float:
+        if x in (0, 1):
+            return 0.0
+        return x * math.log(q - 1, q) - x * math.log(x, q) - (1 - x) * math.log(1 - x, q)
+
+    m = len(center)
+    radius = math.floor(Fraction(tau) * n)
+    w = sum(1 for s in center if s != 0)
+    gaps = "".join("x" if s else "0" for s in center).split("x")
+    t = min(gaps.count(""), w)
+    g = Fraction(radius - n + m, 2)
+    kappa = Fraction(radius + n - m, 2 * n)
+    base = 2 * w - t if q >= 3 else 2 * (w - t) + 2
+    exponent = slack * math.log(n, q) + n * entropy(float(kappa))
+    if g > 0:
+        exponent += float(base + g) * entropy(float(g / (base + g)))
+        if q >= 3:
+            exponent -= float(g) * math.log(q - 1, q)
+    return exponent

@@ -58,6 +58,7 @@ from insdel.spheres import (
 from oracles import (
     HOST_N6,
     all_tuples,
+    ball_bound_ref,
     batched_lcs,
     brute_feasible,
     dense_zyablov_tau,
@@ -146,8 +147,38 @@ def test_c03_run_count_bounds():
     print("criterion 3 PASS: run-count bounds exhaustive with tightness witnesses")
 
 
+# Positive-radius ball_size_upper_bound slices (center, q, n, tau, exponent):
+# with and without a deletion phase (g > 0 and g = 0), half-integer g,
+# q = 2, 3, 4.  The exponent is the default-slack value.
+C04_PINS = (
+    ((0, 1, 1, 0, 1, 0, 0, 1), 2, 8, Fraction(1, 4), 14.490224995673064),
+    ((0, 1, 1, 0, 1, 0, 0, 1), 2, 10, Fraction(3, 10), 17.299720597956217),
+    ((1, 0, 1, 1, 0, 1), 2, 8, Fraction(1, 4), 12.490224995673064),
+    ((1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1), 2, 12, Fraction(1, 3), 21.460419056895624),
+    ((0, 1, 2, 1, 0, 2), 3, 6, Fraction(1, 3), 8.81421109639259),
+    ((2, 0, 0, 1, 2, 2, 0, 1, 0), 3, 10, Fraction(2, 5), 14.493177831688214),
+    ((1, 2, 1, 0), 3, 6, Fraction(1, 3), 7.999999999999999),
+    ((0, 0, 1, 2, 0, 2, 1, 1, 0, 2, 2, 0, 1, 0), 3, 14, Fraction(3, 7), 20.150612304408853),
+    ((0, 3, 1, 2, 2, 0, 1), 4, 7, Fraction(3, 7), 9.32689055383426),
+    ((3, 3, 0, 1, 0, 2, 1, 1, 3, 0), 4, 9, Fraction(4, 9), 11.62715639662899),
+    ((1, 2, 3, 0, 0, 3), 4, 8, Fraction(1, 4), 7.830074998557688),
+    ((2, 1, 0, 0, 3, 3, 2, 0, 1, 1, 0, 2, 3, 1, 0, 0), 4, 16, Fraction(1, 2), 20.350725979826166),
+)
+
+
 def test_c04_ball_bound_soundness():
-    """Exact ball slices never exceed the exponent; repetition counts exact."""
+    """Exact ball slices never exceed the exponent; repetition counts exact.
+
+    Soundness alone cannot catch a bound that shrinks a term it does not
+    need on small slices, so the exponent is also pinned on C04_PINS and
+    each pin is checked against oracles.ball_bound_ref, an independent
+    evaluation of the docstring formula.
+    """
+    for syms, q, n, tau, pinned in C04_PINS:
+        center = word(syms, q)
+        got = ball_size_upper_bound(run_profile(center), len(syms), n, tau, q)
+        assert got == pytest.approx(pinned, abs=1e-12), (syms, n, tau)
+        assert ball_bound_ref(syms, n, tau, q) == pytest.approx(pinned, abs=1e-12), (syms, n, tau)
     bound_checks = exact_checks = 0
     for q, max_len in ((2, 7), (3, 6)):
         mats = {n: word_matrix(q, n) for n in range(1, max_len + 1)}
@@ -174,7 +205,7 @@ def test_c04_ball_bound_soundness():
                         bound_checks += 1
     print(
         f"criterion 4 PASS: exponent bound held on {bound_checks} slices; "
-        f"{exact_checks} repetition slices counted exactly"
+        f"{exact_checks} repetition slices counted exactly; {len(C04_PINS)} exponents pinned"
     )
 
 

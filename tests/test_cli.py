@@ -9,6 +9,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -420,6 +421,32 @@ def test_oversized_requests_exit_4_before_any_work(tmp_path):
         assert result.stderr.startswith("error: ") and "exceed the" in result.stderr, argv
         assert "Traceback" not in result.stderr
         assert result.stdout == ""
+
+
+def test_huge_field_orders_exit_within_a_second(tmp_path, desk_params):
+    """Primality is decided by Miller-Rabin, so no huge order runs trial division.
+
+    2^61 - 1 is prime: as a DESK field order it asks for 2^62 inner
+    words of length 10 (exit 4), and the k = 0 linear code over it is the
+    zero word.  2^89 - 1 lies past the proven Miller-Rabin bound and is
+    refused (exit 4).
+    """
+    record = params_to_json_dict(desk_params)
+    cases = []
+    for p in (2 ** 61 - 1, 2 ** 89 - 1):
+        path = tmp_path / f"p{p}.json"
+        path.write_text(json.dumps({**record, "p": p}))
+        cases.append((("concat-encode", "--params", str(path), "--message", "1,2,0"), 4, ""))
+    for q, code, out in ((2 ** 61 - 1, 0, "0\n"), (2 ** 89 - 1, 4, "")):
+        cases.append((("sample", "-q", str(q), "-n", "1", "-k", "0", "--linear", "--seed", "1"), code, out))
+    for argv, code, out in cases:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            assert main(list(argv)) == code, argv
+        assert time.perf_counter() - start < 1.0, argv
+        assert stdout.getvalue() == out, argv
+        assert stderr.getvalue().startswith("error: ") == (code != 0), argv
 
 
 def test_sampled_certify_beyond_int64_centers(tmp_path):

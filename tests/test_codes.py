@@ -6,8 +6,12 @@ reproduce byte-identical codes.
 
 import itertools
 import json
+import math
+import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from insdel import codes
 from insdel.bounds import singleton_max_size
@@ -31,7 +35,9 @@ from insdel.core import (
     iter_words,
     word,
 )
+from insdel.decode import RSCode
 from insdel.spheres import BallQuery, enumerate_ball_fixed_length
+from oracles import is_prime_ref, strong_probable_prime
 
 RANDOM_CODE_DIGEST = "37b80f99934c4ac587aab4656d2ef8e81c302153de2dc8482611955afdc1fdc3"
 LINEAR_CODE_DIGEST = "eff94d3e0c7ef5cb12d1629a6f8f526e98e9aa229bc77907a80e537712f406d8"
@@ -118,6 +124,63 @@ def test_sample_random_linear_code_refuses_huge_spans_before_primality(monkeypat
     # A composite q whose span is too large is refused for capacity as well.
     with pytest.raises(CapacityError):
         sample_random_linear_code(1000, 3, 3, 1)
+
+
+def test_is_prime_matches_trial_division_below_ten_thousand():
+    assert [p for p in range(10_000) if codes._is_prime(p)] == [
+        p for p in range(10_000) if is_prime_ref(p)
+    ]
+
+
+@given(st.integers(-10, 10 ** 6))
+def test_is_prime_matches_trial_division_up_to_a_million(p):
+    assert codes._is_prime(p) == is_prime_ref(p)
+
+
+# Strong pseudoprimes with their factors and the first primes they pass
+# the strong probable-prime test for: the smallest to the first 1, 2, 3,
+# 4, 5, 6, 7, 9 and 12 primes (psi_1 .. psi_12 where listed, OEIS A014233).
+STRONG_PSEUDOPRIMES = (
+    (2047, (23, 89), 1),
+    (1373653, (829, 1657), 2),
+    (25326001, (2251, 11251), 3),
+    (3215031751, (151, 751, 28351), 4),
+    (2152302898747, (6763, 10627, 29947), 5),
+    (3474749660383, (1303, 16927, 157543), 6),
+    (341550071728321, (10670053, 32010157), 7),
+    (3825123056546413051, (149491, 747451, 34233211), 9),
+    (318665857834031151167461, (399165290221, 798330580441), 12),
+)
+
+
+@pytest.mark.parametrize("n, factors, fooled", STRONG_PSEUDOPRIMES)
+def test_is_prime_rejects_strong_pseudoprimes(n, factors, fooled):
+    assert all(f > 1 for f in factors) and n == math.prod(factors)
+    assert all(strong_probable_prime(n, a) for a in codes._PRIME_BASES[:fooled])
+    assert not codes._is_prime(n)
+
+
+def test_is_prime_decides_large_primes_and_refuses_past_its_bound():
+    assert codes._is_prime(2 ** 31 - 1) and codes._is_prime(2 ** 61 - 1)
+    assert not codes._is_prime(2 ** 67 - 1)  # 193707721 * 761838257287
+    # psi_13 itself passes all 13 bases, so the bound is where proof stops.
+    limit = codes._PRIMALITY_LIMIT
+    assert limit == 3317044064679887385961981 == 1287836182261 * 2575672364521
+    assert all(strong_probable_prime(limit, a) for a in codes._PRIME_BASES)
+    for p in (limit, 2 ** 89 - 1):
+        with pytest.raises(CapacityError, match="primality"):
+            codes._is_prime(p)
+
+
+def test_huge_field_orders_are_decided_without_trial_division():
+    start = time.perf_counter()
+    assert RSCode(p=2 ** 61 - 1, k=1, points=(0,)).n == 1
+    with pytest.raises(CapacityError):
+        RSCode(p=2 ** 89 - 1, k=1, points=(0,))
+    assert sample_random_linear_code(2 ** 61 - 1, 1, 0, 1).words == {word((0,), 2 ** 61 - 1)}
+    with pytest.raises(CapacityError):
+        sample_random_linear_code(2 ** 89 - 1, 1, 0, 1)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize(

@@ -7,10 +7,14 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from insdel import concat
 from insdel.channel import adversarial_block_channel, random_channel
 from insdel.concat import (
     ConcatParams,
@@ -485,6 +489,78 @@ def test_sharp_instance_lists_are_short_and_contain_the_sent_word():
         sent, report = full_budget_roundtrip(params, seed)
         assert sent in report.codewords, seed
         assert len(report.codewords) <= 10, seed
+
+
+def fresh_params(instance) -> ConcatParams:
+    """Params with an empty listed-word memo, whatever earlier tests decoded."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        return make_concat_params(**instance)
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [DESK, DESK_FRACTIONAL, HOST_N3, HOST_N6, HOST_WIDE, SHARP],
+    ids=["desk", "desk-fractional", "host-n3", "host-n6", "host-wide", "sharp"],
+)
+def test_listed_words_are_the_encoded_outer_codewords_in_symbol_order(instance):
+    """Memo misses (first decode) and hits (later ones) list the same words.
+
+    Each report's codewords are concat_encode of its outer codewords,
+    sorted by symbols.
+    """
+    params = fresh_params(instance)
+    for seed in range(3):
+        _, report = full_budget_roundtrip(params, seed)
+        expected = sorted(
+            (concat_encode(params, cw) for cw in report.outer_codewords), key=attrgetter("symbols")
+        )
+        assert list(report.codewords) == expected, seed
+
+
+def test_a_repeated_decode_builds_no_word(monkeypatch):
+    params = fresh_params(DESK)
+    _, received = full_budget_channel(params, 0)
+    assert params.listed_words[1] == {}
+    first = list_decode_concat_detailed(params, received)
+    assert len(params.listed_words[1]) == len(first.codewords) == 1331
+
+    def no_build(*args):
+        raise AssertionError("a memo hit built a word")
+
+    monkeypatch.setattr(concat, "_concat_words", no_build)
+    second = list_decode_concat_detailed(params, received)
+    assert second == first
+    assert repr(second) == repr(first)
+    assert all(a is b for a, b in zip(second.codewords, first.codewords))
+
+
+@pytest.mark.parametrize("instance", [DESK, SHARP], ids=["desk", "sharp"])
+def test_listed_word_memo_holds_recovered_codebook_members_only(instance):
+    params = fresh_params(instance)
+    for seed in range(6):
+        full_budget_roundtrip(params, seed)
+    digits, memo = params.listed_words
+    assert memo and set(memo) <= set(params.outer.codebook)
+    assert len(memo) <= params.outer.p ** params.outer.k
+    for cw, (key, word) in memo.items():
+        assert word == concat_encode(params, cw)
+        assert key == sum(digits[i][sym] for i, sym in enumerate(cw))
+
+
+@given(data=st.data())
+def test_listed_word_keys_order_like_symbols(desk_params, host_n6, data):
+    """Integer key order is symbol order, also between words sharing a prefix of blocks."""
+    for params in (desk_params, host_n6):
+        p, N = params.outer.p, params.N
+        digits, _ = params.listed_words
+        symbols = st.integers(0, p - 1)
+        a = data.draw(st.lists(symbols, min_size=N, max_size=N))
+        shared = data.draw(st.integers(0, N))
+        b = a[:shared] + data.draw(st.lists(symbols, min_size=N - shared, max_size=N - shared))
+        key_a, key_b = (sum(digits[i][sym] for i, sym in enumerate(w)) for w in (a, b))
+        sym_a, sym_b = (concat_encode(params, w).symbols for w in (a, b))
+        assert (key_a < key_b, key_a == key_b) == (sym_a < sym_b, sym_a == sym_b)
 
 
 @pytest.mark.parametrize(

@@ -107,3 +107,19 @@ def test_channels_do_not_replay_their_scripts():
         and any(isinstance(n, ast.Name) and n.id == "apply_script" for n in ast.walk(fn))
     ]
     assert callers == []
+
+
+def test_concat_decoder_calls_feasibility_and_recovery_by_bare_name():
+    """The decoder looks both stages up in concat's namespace at call time.
+
+    perfbench's traced run rebinds concat.feasible_jN and the
+    brute_force_list_recover name concat imports, and fails when either
+    never fires; an attribute call or a local alias would bypass that.
+    """
+    decoder = dict(functions(PACKAGE / "concat.py"))["concat.list_decode_concat_detailed"]
+    called = {
+        node.func.id
+        for node in ast.walk(decoder)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert {"feasible_jN", "brute_force_list_recover"} <= called
