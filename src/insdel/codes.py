@@ -134,7 +134,7 @@ def sample_word_sequence(q: int, n: int, size: int, seed: Seed) -> list[Word]:
     """
     if q < 2 or n < 0 or size < 0:
         raise DomainError("need q >= 2, n >= 0, size >= 0")
-    if size > q ** n:
+    if size and not _power_exceeds(q, n, size - 1):
         raise CapacityError(f"cannot pick {size} distinct words from q^n = {q ** n}")
     rng = philox_generator(seed)
     seen: set[tuple[int, ...]] = set()

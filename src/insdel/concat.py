@@ -32,9 +32,16 @@ come from already-validated inner words, and stored with an int key
 whose order is the words' symbol order, so the list is sorted by key.
 The scan walks the grid's (lam, mu) ranges directly.  It runs one
 bit-parallel LCS recurrence per window start, over the longest window
-content there, which counts the LCS of every domain word at once; each
-distinct clipped window length tests the counter after that many
-symbols against the inner radius in one add.
+content there, which counts the LCS of every domain word at once.  Then
+it gates one window length at a time across every start: the counter
+after that many symbols (or, for a start too near the end, after its
+last one) against the inner radius, in one add.  The feasible block
+positions of a window depend only on (lam, mu, M), so they are cached
+per ConcatParams and received length M (feasible_positions), filled
+only on hit windows: a window's first hit costs the one feasible_jN
+call it would make without the cache, and later hits read the slot.
+Only decodable lengths reach the cache, so it holds at most
+2 * radius + 1 lengths, each with one slot per window of its census.
 """
 
 from __future__ import annotations
@@ -45,14 +52,23 @@ from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .codes import Code, Seed, sample_word_sequence
-from .core import BoundViolationError, DomainError, InsdelError, RegimeWarning, Word
+from .core import BoundViolationError, CapacityError, DomainError, InsdelError, RegimeWarning, Word
 from .core import FractionLike, _LaneTable, _flagged_lanes, _frac, _lane_budget, _lane_gate
 from .core import _lane_width, _lcs_steps, _packed_match_table, insdel_distance
 from .decode import RSCode, brute_force_list_recover, rs_encode
+
+# make_concat_params refuses an inner encoder of more symbols than this
+# (index count * p words of length n) before sampling it, so each of the
+# decoder's packed LCS counters holds at most about this many bits.
+_INNER_SYMBOL_LIMIT = 10 ** 5
+# The decoder holds the LCS rows of about this many bits of counters at
+# once, and one start's row when that alone is larger.
+_SCAN_BATCH_BITS = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -160,7 +176,11 @@ class ConcatParams:
     integer edit count exceeds a rational bound exactly when it exceeds
     the bound's floor, so the decoder compares against these two ints.
     The decoder's listed words are memoized per instance (listed_words):
-    each is built once, and the list is ordered by its int key.
+    each is built once, and the list is ordered by its int key.  The
+    feasible block positions of each hit window are cached per received
+    length (feasible_positions): at most 2 * radius + 1 lengths times
+    that length's window census, and a miss costs only the feasible_jN
+    call the decoder would make without the cache.
     """
 
     N: int
@@ -337,6 +357,24 @@ class ConcatParams:
             digits.append(tuple(digit))
         return tuple(digits), {}
 
+    @cached_property
+    def feasible_positions(
+        self,
+    ) -> tuple[dict[int, list[list[range | None]]], dict[range, range]]:
+        """(slots, shared): the decoder's cache of feasible block positions.
+
+        slots[M][mu - mu_lo][lam] is feasible_jN(lam, mu, self, M), or
+        None until a decode of a length-M word first finds a hit in
+        window (lam, mu).  A miss costs the one feasible_jN call the
+        window would make without the cache, and a window without hits
+        never makes one.  The decoder refuses |M - n*N| > radius first,
+        so slots holds at most 2 * radius + 1 lengths, each with one
+        slot per window of its census.  shared maps each range to one
+        stored copy, so equal ranges share it.  Built on first use,
+        then shared by every decode.
+        """
+        return {}, {}
+
     def index_for_position(self, i: int) -> int:
         """Cyclic encoder index carried by block position i (1-based)."""
         if not 1 <= i <= self.N:
@@ -374,14 +412,30 @@ def make_concat_params(
     inner_seed: Seed,
     points: Sequence[int] | None = None,
 ) -> ConcatParams:
-    """Build params, sampling the inner encoder from the given seed."""
-    if points is None:
-        points = tuple(range(N))
-    outer = RSCode(p=p, k=K, points=tuple(points))
+    """Build params, sampling the inner encoder from the given seed.
+
+    The cheap bounds are checked before anything is built: positive
+    lengths, N <= p when the evaluation points default to 0..N-1, a
+    whole number eps_cont * N of encoder indices, and an inner encoder
+    of at most _INNER_SYMBOL_LIMIT symbols (index count * p * n), past
+    which CapacityError is raised before sampling.
+    """
+    if N < 1 or n < 1:
+        raise DomainError("outer and inner lengths must be positive")
+    if points is None and N > p:
+        raise DomainError(f"need N <= p for the default evaluation points, got N={N}, p={p}")
     eps_cont = _frac(eps_cont, "eps_cont")
     count = eps_cont * N
     if count.denominator != 1 or count < 1:
         raise DomainError("eps_cont * N must be a positive integer")
+    if count * p * n > _INNER_SYMBOL_LIMIT:
+        raise CapacityError(
+            f"an inner encoder of {count} * {p} words of length {n} exceeds "
+            f"{_INNER_SYMBOL_LIMIT} symbols"
+        )
+    if points is None:
+        points = tuple(range(N))
+    outer = RSCode(p=p, k=K, points=tuple(points))
     inner = InnerEncoder.sample(q, n, int(count), p, inner_seed)
     return ConcatParams(
         N=N,
@@ -589,33 +643,53 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
     width = _lane_width(params.n)
     table, addends, top = params.inner_lanes
     r_syms = r.symbols
+    step, mu_lo, mu_hi = windows.step, windows.mu_lo, windows.mu_hi
+    mus = range(mu_lo, mu_hi + 1)
+    starts = range(0, (windows.lam_hi + 1) * step, step)
+    longest = mu_hi * step
+    slots, shared = params.feasible_positions
+    by_mu = slots.get(M)
+    if by_mu is None:
+        by_mu = slots[M] = [[None] * len(starts) for _ in mus]
     # hit_lanes[j] gathers the gate flags of every (index, sym) lane hit
     # by a window that position j is feasible for, whatever the index.
     hit_lanes = [0] * params.N
     match_total = 0
     max_inner_list = 0
-
-    step, mu_lo, mu_hi = windows.step, windows.mu_lo, windows.mu_hi
-    for lam in range(windows.lam_hi + 1):
-        phi = lam * step
-        room = max(0, M - phi)
-        # One recurrence per start, over its longest window.  Clipped
-        # lengths min(mu * step, room) never decrease with mu, so the
-        # windows clipped to one length share one test.
-        counts = list(_lcs_steps(r_syms[phi : phi + min(mu_hi * step, room)], table))
-        gated = -1
-        for mu in range(mu_lo, mu_hi + 1):
-            length = min(mu * step, room)
-            if length != gated:
-                gated = length
-                flags = (counts[length] + addends[length]) & top
-                hits = flags.bit_count()
-                max_inner_list = max(max_inner_list, hits)
-            match_total += hits
-            if not hits:
-                continue
-            for j in feasible_jN(lam, mu, params, M):
-                hit_lanes[j] |= flags
+    # Rows are held for a batch of starts at a time: about _SCAN_BATCH_BITS
+    # of counters, and never less than one start's row.
+    row_bits = (longest + 1) * len(params.inner.words) * width
+    batch = max(1, _SCAN_BATCH_BITS // row_bits)
+    for first in range(0, len(starts), batch):
+        # One recurrence per start, over its longest window; rows[k][L]
+        # is the LCS counter after L symbols.  A start with less than
+        # longest symbols left has a shorter row, and every window
+        # reaching past the end reads its last entry.
+        rows = [
+            list(_lcs_steps(r_syms[phi : phi + longest], table))
+            for phi in starts[first : first + batch]
+        ]
+        clipped = [(row[-1] + addends[len(row) - 1]) & top for row in rows]
+        for mu, positions in zip(mus, by_mu):
+            # The windows of length L = mu * step at every start of the
+            # batch: starts up to lam = (M - L) // step hold L symbols,
+            # the rest are clipped.
+            L = mu * step
+            full = max(0, (M - L) // step + 1 - first)
+            addend = addends[L]
+            flags = [(row[L] + addend) & top for row in rows[:full]] + clipped[full:]
+            hits = list(map(int.bit_count, flags))
+            match_total += sum(hits)
+            max_inner_list = max(max_inner_list, max(hits))
+            for k in compress(range(len(flags)), flags):
+                lam = first + k
+                span = positions[lam]
+                if span is None:
+                    span = feasible_jN(lam, mu, params, M)
+                    span = positions[lam] = shared.setdefault(span, span)
+                bits = flags[k]
+                for j in span:
+                    hit_lanes[j] |= bits
 
     # Position j keeps only the lanes of the index it carries, j mod E.
     lists = [

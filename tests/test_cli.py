@@ -7,6 +7,7 @@ point; everything else calls main() in-process for speed.
 import contextlib
 import io
 import json
+import signal
 import subprocess
 import sys
 import time
@@ -21,6 +22,7 @@ from insdel.cli import CURVE_KINDS, CurveRequest, main
 from insdel.codes import code_to_json_dict, sample_random_code
 from insdel.concat import concat_encode_message, params_to_json_dict
 from insdel.core import CapacityError, format_word, iter_words, parse_word, word
+from oracles import distance_ref
 
 RANDOM_CODE_DIGEST = "37b80f99934c4ac587aab4656d2ef8e81c302153de2dc8482611955afdc1fdc3"
 LINEAR_CODE_DIGEST = "eff94d3e0c7ef5cb12d1629a6f8f526e98e9aa229bc77907a80e537712f406d8"
@@ -449,6 +451,64 @@ def test_huge_field_orders_exit_within_a_second(tmp_path, desk_params):
         assert stderr.getvalue().startswith("error: ") == (code != 0), argv
 
 
+def test_oversized_params_files_exit_within_a_second(tmp_path, desk_params):
+    """Cheap bounds come first: nothing of a huge params file is built or sampled.
+
+    DESK with n = 10^6 (22 inner words of 10^6 symbols), or with an
+    inner encoder over a huge field or of huge words, passes the inner
+    encoder's symbol limit (exit 4).  N = 10^18 with the evaluation
+    points omitted exceeds p (exit 3) or, over p = 2^61 - 1, the symbol
+    limit (exit 4); K = 10^18 exceeds N (exit 3).
+    """
+    record = params_to_json_dict(desk_params)
+    no_points = {key: value for key, value in record.items() if key != "points"}
+    cases = [
+        ({**record, "n": 10 ** 6}, 4),
+        ({**record, "n": 10 ** 18}, 4),
+        ({**no_points, "p": 10 ** 18 + 9}, 4),
+        ({**no_points, "N": 10 ** 18}, 3),
+        ({**no_points, "N": 10 ** 18, "p": 2 ** 61 - 1}, 4),
+        ({**record, "K": 10 ** 18}, 3),
+    ]
+    for number, (fields, code) in enumerate(cases):
+        path = tmp_path / f"params{number}.json"
+        path.write_text(json.dumps(fields))
+        argv = ["concat-encode", "--params", str(path), "--message", "1,2,0"]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            assert main(argv) == code, fields
+        assert time.perf_counter() - start < 1.0, fields
+        assert stdout.getvalue() == "" and stderr.getvalue().startswith("error: "), fields
+
+
+def test_certify_sampled_pins_a_witness(tmp_path, capsys):
+    """A sampled run on a code that violates the bound prints its exact witness.
+
+    The witness is the first sampled center whose radius-2 ball holds
+    more than L = 3 codewords (checked here by the oracle distance); the
+    exhaustive scan of the same code stops at a different, earlier one.
+    """
+    code = sample_random_code(2, 6, 12, 1)
+    path = _write_code_file(tmp_path, code)
+    argv = ["certify", "--code-file", path, "--tau-n", "2", "-L", "3"]
+    assert main(argv + ["--mode", "sampled", "--samples", "200", "--seed", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {
+        "ok": False,
+        "witness": "1011",
+        "tau_n": 2,
+        "L": 3,
+        "mode": "sampled",
+        "samples": 200,
+        "seed": 2,
+    }
+    crowd = [w for w in code.words if distance_ref(w.symbols, (1, 0, 1, 1)) <= 2]
+    assert len(crowd) > 3
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["witness"] != "1011"
+
+
 def test_sampled_certify_beyond_int64_centers(tmp_path):
     # n = 40, tau_n = 30 gives sum(2**m for m in 10..70) > 2**63 candidate centers.
     code_file = tmp_path / "big.json"
@@ -561,18 +621,78 @@ def fuzz_files(tmp_path_factory, desk_params):
     return inputs, [str(root / "out.txt"), str(root / "no-such-dir" / "out.txt"), str(root)]
 
 
+# Wall-clock bound on one fuzzed call: far above the slowest valid request
+# a draw can make (a decode near the inner encoder's symbol limit takes
+# seconds), far below a hang.
+FUZZ_WALL_S = 60
+
+
+class WallTimeExceeded(BaseException):
+    """Raised by SIGALRM; a BaseException, so no handler in main() catches it."""
+
+
+def exit_code_within_wall_bound(argv) -> int:
+    """main(argv)'s exit code, failing the test if the call runs past FUZZ_WALL_S."""
+
+    def expire(signum, frame):
+        raise WallTimeExceeded
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, FUZZ_WALL_S)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                return main(argv)
+            except SystemExit as exc:
+                return exc.code
+    except WallTimeExceeded:
+        pytest.fail(f"{argv} ran past {FUZZ_WALL_S} s")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("command", sorted(_fuzz_options(st.nothing())))
 def test_cli_fuzz_exits_with_a_documented_code(fuzz_files, command):
-    """Every drawn invocation returns 0, 2, 3 or 4; no other exception escapes."""
+    """Every drawn invocation returns 0, 2, 3 or 4 within FUZZ_WALL_S; no other exception escapes."""
 
     @settings(max_examples=60, deadline=None)
     @given(_fuzz_argv(command, *fuzz_files))
     def run(argv):
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
-        assert code in (0, 2, 3, 4), argv
+        assert exit_code_within_wall_bound(argv) in (0, 2, 3, 4), argv
+
+    run()
+
+
+def _fuzz_params_record(base: dict):
+    """DESK's params record with p, N, n and K each kept or drawn up to 10^18.
+
+    The evaluation points are kept or omitted, so N also sizes the
+    default points 0..N-1.
+    """
+    def field(name):
+        return st.just(base[name]) | st.integers(-3, 64) | st.integers(-3, 10 ** 18)
+
+    def record(drawn: dict, keep_points: bool) -> dict:
+        kept = base if keep_points else {k: v for k, v in base.items() if k != "points"}
+        return {**kept, **drawn}
+
+    fields = st.fixed_dictionaries({name: field(name) for name in ("p", "N", "n", "K")})
+    return st.builds(record, fields, st.booleans())
+
+
+@pytest.mark.parametrize("command", ["concat-decode", "concat-encode", "concat-roundtrip"])
+def test_cli_fuzz_params_files_exit_with_a_documented_code(tmp_path, desk_params, command):
+    """Params files with huge or tiny p, N, n and K exit 0, 2, 3 or 4 within FUZZ_WALL_S."""
+    path = tmp_path / "drawn.json"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        _fuzz_params_record(params_to_json_dict(desk_params)),
+        _fuzz_argv(command, [str(path)], [str(tmp_path / "out.txt")]),
+    )
+    def run(record, argv):
+        path.write_text(json.dumps(record))
+        assert exit_code_within_wall_bound(argv) in (0, 2, 3, 4), argv
 
     run()

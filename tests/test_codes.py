@@ -72,8 +72,17 @@ def test_sample_word_sequence_distinct_and_valid():
 
 
 def test_sample_word_sequence_capacity():
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="cannot pick 9 distinct words from q\\^n = 8"):
         sample_word_sequence(2, 3, 9, 0)
+    assert len(sample_word_sequence(2, 3, 8, 0)) == 8
+
+
+def test_sample_word_sequence_never_builds_q_to_the_n():
+    """The capacity test multiplies only until q**n passes size - 1."""
+    start = time.perf_counter()
+    assert sample_word_sequence(10 ** 18, 10 ** 18, 0, 1) == []
+    assert [len(w) for w in sample_word_sequence(2, 10 ** 4, 2, 1)] == [10 ** 4] * 2
+    assert time.perf_counter() - start < 1.0
 
 
 def test_sample_random_code_full_space():

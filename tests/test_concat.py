@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 from operator import attrgetter
@@ -34,7 +35,8 @@ from insdel.concat import (
     params_to_json_dict,
 )
 from insdel.codes import philox_generator
-from insdel.core import BoundViolationError, DomainError, RegimeWarning, insdel_distance, word
+from insdel.core import BoundViolationError, CapacityError, DomainError, RegimeWarning
+from insdel.core import insdel_distance, word
 from insdel.core import _flagged_lanes, _lane_budget, _lane_gate, _lane_width
 from insdel.decode import rs_encode
 from oracles import (
@@ -45,7 +47,7 @@ from oracles import (
     HOST_WIDE,
     SHARP,
     brute_feasible,
-    lcs_ref,
+    lcs_matrix_ref,
     window_cap_ref,
     windows_ref,
 )
@@ -172,6 +174,37 @@ def test_regime_warning_below_threshold():
 def test_params_validation(override):
     with pytest.raises(DomainError):
         make_concat_params(**{**DESK, **override})
+
+
+@pytest.mark.parametrize(
+    "override, error",
+    [
+        ({"N": 10 ** 18}, DomainError),
+        ({"N": 10 ** 18, "p": 2 ** 61 - 1}, CapacityError),
+        ({"n": 0}, DomainError),
+        ({"n": 10 ** 18}, CapacityError),
+        ({"p": 10 ** 18 + 9}, CapacityError),
+    ],
+)
+def test_make_concat_params_refuses_before_building_anything(monkeypatch, override, error):
+    """Cheap bounds come first: no evaluation points, RS code or inner word is built."""
+
+    def built(*args, **kwargs):
+        raise AssertionError("built before the cheap bounds")
+
+    monkeypatch.setattr(concat, "RSCode", built)
+    monkeypatch.setattr(concat.InnerEncoder, "sample", built)
+    with pytest.raises(error):
+        make_concat_params(**{**DESK, **override})
+
+
+def test_inner_encoder_symbol_limit_is_inclusive(monkeypatch):
+    """DESK's encoder holds 2 * 11 words of 10 symbols: built at a limit of 220, refused below."""
+    monkeypatch.setattr(concat, "_INNER_SYMBOL_LIMIT", 220)
+    assert len(make_concat_params(**DESK).inner.words) == 22
+    monkeypatch.setattr(concat, "_INNER_SYMBOL_LIMIT", 219)
+    with pytest.raises(CapacityError, match="exceeds 219 symbols"):
+        make_concat_params(**DESK)
 
 
 def test_params_reject_mismatched_inner(desk_params):
@@ -563,44 +596,184 @@ def test_listed_word_keys_order_like_symbols(desk_params, host_n6, data):
         assert (key_a < key_b, key_a == key_b) == (sym_a < sym_b, sym_a == sym_b)
 
 
+def direct_scan(params: ConcatParams, received):
+    """Redo the inner scan window by window with oracles.lcs_matrix_ref.
+
+    A domain word hits a grid window when n + len - 2*lcs <= inner_radius.
+    Each start's full LCS matrix against a domain word, over the start's
+    longest window, gives the LCS of every window there.  Returns the
+    window count, (inner_match_total, max_inner_list), and the position
+    lists that each hit's symbol, entered at every position
+    oracles.brute_feasible allows, builds.  Shares no code with the
+    decoder's match tables, scan or feasibility cache.
+    """
+    n, inner_radius, E = params.n, params.inner_radius, params.eps_cont_N
+    M = len(received)
+    domain = list(params.inner.domain())
+    hits = []
+    lists = [set() for _ in range(params.N)]
+    matrices = {}
+    for win in build_windows(params, M):
+        if win.phi not in matrices:
+            longest = received[win.phi : win.phi + params.window_grid[2] * params.tau_hat_n]
+            matrices = {
+                win.phi: [lcs_matrix_ref(longest.symbols, w.symbols) for _, _, w in domain]
+            }
+        hit = [
+            (index - 1, sym)
+            for (index, sym, _), matrix in zip(domain, matrices[win.phi])
+            if n + win.lambda_len - 2 * matrix[win.lambda_len][n] <= inner_radius
+        ]
+        hits.append(len(hit))
+        for i, sym in hit:
+            for j_N in brute_feasible(i, win.lam, win.mu, params, M):
+                lists[i + j_N * E].add(sym)
+    return len(hits), (sum(hits), max(hits)), lists
+
+
+def assert_report_matches_direct_scan(report, params, received, label):
+    window_count, totals, lists = direct_scan(params, received)
+    assert report.window_count == window_count, label
+    assert (report.inner_match_total, report.max_inner_list) == totals, label
+    assert [set(entries) for entries in report.position_lists] == lists, label
+
+
 @pytest.mark.parametrize(
     "instance, seeds",
     [(DESK, range(4)), (SHARP, range(2)), (HOST_WIDE, range(12))],
     ids=["desk", "sharp", "host-wide"],
 )
 def test_inner_scan_counts_match_full_matrix_reference(instance, seeds):
-    """Redo the inner scan window by window with oracles.lcs_ref.
-
-    A domain word hits a grid window when n + len - 2*lcs <= inner_radius;
-    the report's inner_match_total and max_inner_list must equal the
-    totals of that direct scan, which shares no code with the decoder's
-    match tables.  Each hit's symbol, entered at every position
-    oracles.brute_feasible allows, must rebuild the position lists.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        params = make_concat_params(**instance)
-    n, inner_radius, E = params.n, params.inner_radius, params.eps_cont_N
+    """The report's window count, match totals and position lists equal direct_scan's."""
+    params = fresh_params(instance)
     for seed in seeds:
         _, received = full_budget_channel(params, seed)
-        M = len(received)
-        hits = []
-        lists = [set() for _ in range(params.N)]
-        for win in build_windows(params, M):
-            content = win.content(received).symbols
-            hit = [
-                (index - 1, sym)
-                for index, sym, codeword in params.inner.domain()
-                if n + len(content) - 2 * lcs_ref(codeword.symbols, content) <= inner_radius
-            ]
-            hits.append(len(hit))
-            for i, sym in hit:
-                for j_N in brute_feasible(i, win.lam, win.mu, params, M):
-                    lists[i + j_N * E].add(sym)
         report = list_decode_concat_detailed(params, received)
-        assert report.window_count == len(hits), seed
-        assert (report.inner_match_total, report.max_inner_list) == (sum(hits), max(hits)), seed
-        assert [set(entries) for entries in report.position_lists] == lists, seed
+        assert_report_matches_direct_scan(report, params, received, seed)
+
+
+@pytest.mark.parametrize("instance", [DESK, SHARP, HOST_WIDE], ids=["desk", "sharp", "host-wide"])
+def test_feasibility_cache_decodes_like_the_direct_scan_at_every_length(instance):
+    """Decodes that fill the cache and decodes that read it match direct_scan.
+
+    Words of length n*N - radius, n*N and n*N + radius, made by random
+    deletions and insertions on a sent word, fill one cached length
+    each; a second, different word at the first length reads that
+    length's slots back.  Every report also equals, field by field and
+    in repr, the decode of the same word on freshly built params.
+    """
+    params = fresh_params(instance)
+    radius, rng = params.radius, random.Random(7)
+    sent = concat_encode_message(params, [rng.randrange(params.outer.p) for _ in range(params.outer.k)])
+    shapes = [(0, radius), (radius // 2, radius // 2), (radius, 0), (0, radius)]
+    for n_ins, n_del in shapes:
+        received, _ = random_channel(sent, n_ins, n_del, rng.randrange(2**63))
+        label = (n_ins, n_del)
+        assert len(received) == len(sent) + n_ins - n_del, label
+        report = list_decode_concat_detailed(params, received)
+        assert_report_matches_direct_scan(report, params, received, label)
+        fresh = list_decode_concat_detailed(fresh_params(instance), received)
+        assert report == fresh, label
+        assert repr(report) == repr(fresh), label
+    assert sorted(params.feasible_positions[0]) == sorted(
+        {len(sent) - radius, len(sent), len(sent) + radius}
+    )
+
+
+def count_feasible_calls(monkeypatch) -> list[int]:
+    """Rebind concat.feasible_jN, as a traced benchmark run does, to count its calls."""
+    calls = [0]
+    reference = concat.feasible_jN
+
+    def counted(*args):
+        calls[0] += 1
+        return reference(*args)
+
+    monkeypatch.setattr(concat, "feasible_jN", counted)
+    return calls
+
+
+# feasible_jN calls of the first decode of full_budget_channel(params, 0)
+# on fresh params, recorded from the decoder before the feasibility cache:
+# one call per hit window.
+FIRST_DECODE_FEASIBLE_CALLS = {"desk": 674, "sharp": 263, "host-n6": 82}
+
+
+@pytest.mark.parametrize(
+    "instance, name", [(DESK, "desk"), (SHARP, "sharp"), (HOST_N6, "host-n6")],
+    ids=["desk", "sharp", "host-n6"],
+)
+def test_a_first_decode_calls_feasibility_once_per_hit_window_and_a_repeat_never(
+    monkeypatch, instance, name
+):
+    params = fresh_params(instance)
+    _, received = full_budget_channel(params, 0)
+    calls = count_feasible_calls(monkeypatch)
+    first = list_decode_concat_detailed(params, received)
+    assert calls == [FIRST_DECODE_FEASIBLE_CALLS[name]]
+    second = list_decode_concat_detailed(params, received)
+    assert calls == [FIRST_DECODE_FEASIBLE_CALLS[name]]
+    assert second == first
+    assert repr(second) == repr(first)
+
+
+def test_a_refused_length_leaves_the_feasibility_cache_empty(monkeypatch):
+    params = fresh_params(SHARP)
+    calls = count_feasible_calls(monkeypatch)
+    total, radius = params.n * params.N, params.radius
+    for M in (total - radius - 1, total + radius + 1):
+        with pytest.raises(DomainError, match="outside the decodable range"):
+            list_decode_concat_detailed(params, word((0,) * M, params.q))
+    assert calls == [0]
+    assert params.feasible_positions == ({}, {})
+
+
+def test_a_full_feasibility_cache_on_sharp_stays_under_a_megabyte():
+    """Fill every slot at every decodable length; the cache retains under 1 MB.
+
+    An addend equal to top flags every lane, so every window of every
+    decode hits and fills its slot.  Each slot must hold feasible_jN's
+    range; what the cache retains is the memory freed when it is dropped.
+    """
+    params = fresh_params(SHARP)
+    table, addends, top = params.inner_lanes
+    params.__dict__["inner_lanes"] = (table, [top] * len(addends), top)
+    total, radius = params.n * params.N, params.radius
+    lengths = range(total - radius, total + radius + 1)
+    tracemalloc.start()
+    try:
+        for M in lengths:
+            list_decode_concat_detailed(params, word((0,) * M, params.q))
+        slots, shared = params.feasible_positions
+        assert sorted(slots) == list(lengths)
+        mu_lo = params.window_grid[1]
+        for M, by_mu in slots.items():
+            assert sum(map(len, by_mu)) == len(build_windows(params, M))
+            for mu, positions in enumerate(by_mu, mu_lo):
+                for lam, span in enumerate(positions):
+                    assert span == feasible_jN(lam, mu, params, M), (M, lam, mu)
+                    assert span is shared[span]
+        del slots, shared, by_mu, positions, span
+        held = tracemalloc.get_traced_memory()[0]
+        del params.__dict__["feasible_positions"]
+        retained = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 0 < retained < 2**20
+
+
+@pytest.mark.parametrize("instance", [DESK, SHARP, HOST_N6], ids=["desk", "sharp", "host-n6"])
+def test_scan_batches_of_any_size_decode_alike(monkeypatch, instance):
+    """A batch of one start, of a few, and of all of them give the same report."""
+    params = fresh_params(instance)
+    received = [full_budget_channel(params, seed)[1] for seed in range(3)]
+    expected = [list_decode_concat_detailed(params, r) for r in received]
+    table_bits = len(params.inner.words) * _lane_width(params.n)
+    longest = params.window_grid[2] * params.tau_hat_n
+    for starts in (1, 3):
+        monkeypatch.setattr(concat, "_SCAN_BATCH_BITS", starts * (longest + 1) * table_bits)
+        batched = [list_decode_concat_detailed(fresh_params(instance), r) for r in received]
+        assert [repr(b) for b in batched] == [repr(e) for e in expected], starts
 
 
 @pytest.mark.parametrize(
