@@ -32,6 +32,8 @@ Seed = int
 
 _GREEDY_SPACE_LIMIT = 200_000
 _LINEAR_SPAN_LIMIT = 10 ** 6
+# Sampling refuses to draw or list more symbols than this in one call.
+_SAMPLE_SYMBOL_LIMIT = 10 ** 7
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIMALITY_LIMIT = 3317044064679887385961981
 
@@ -126,14 +128,25 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _check_sample_symbols(size: int, n: int) -> None:
+    """Raise CapacityError if size words of length n exceed _SAMPLE_SYMBOL_LIMIT symbols."""
+    if size * n > _SAMPLE_SYMBOL_LIMIT:
+        raise CapacityError(
+            f"sampling {size} words of length {n} exceeds {_SAMPLE_SYMBOL_LIMIT} symbols"
+        )
+
+
 def sample_word_sequence(q: int, n: int, size: int, seed: Seed) -> list[Word]:
     """Sample `size` distinct uniform words of length n, in draw order.
 
     Duplicates are rejected and redrawn, so the result is a uniformly
     random ordered sample without replacement.  Deterministic per seed.
+    More than _SAMPLE_SYMBOL_LIMIT symbols (size * n) raise
+    CapacityError before anything is drawn.
     """
     if q < 2 or n < 0 or size < 0:
         raise DomainError("need q >= 2, n >= 0, size >= 0")
+    _check_sample_symbols(size, n)
     if size and not _power_exceeds(q, n, size - 1):
         raise CapacityError(f"cannot pick {size} distinct words from q^n = {q ** n}")
     rng = philox_generator(seed)
@@ -178,13 +191,17 @@ def sample_random_linear_code(q: int, n: int, k: int, seed: Seed) -> LinearCode:
 
     Generator matrices are redrawn whole until the rank is k.  Restricted
     to prime q: linearity needs field structure and nothing in this
-    package requires extension fields.
+    package requires extension fields.  A span of more than
+    _LINEAR_SPAN_LIMIT words, or of more than _SAMPLE_SYMBOL_LIMIT
+    symbols (q^k * n), raises CapacityError before anything is drawn.
     """
     if not 0 <= k <= n:
         raise DomainError(f"dimension k={k} must lie in [0, n={n}]")
     # A span too large to list is refused before q is tested for primality.
-    if q >= 2 and _power_exceeds(q, k, _LINEAR_SPAN_LIMIT):
-        raise CapacityError(f"span size q^k = {q}^{k} exceeds limit {_LINEAR_SPAN_LIMIT}")
+    if q >= 2:
+        if _power_exceeds(q, k, _LINEAR_SPAN_LIMIT):
+            raise CapacityError(f"span size q^k = {q}^{k} exceeds limit {_LINEAR_SPAN_LIMIT}")
+        _check_sample_symbols(q ** k, n)
     if not _is_prime(q):
         raise DomainError(f"linear codes need a prime alphabet size, got {q}")
     rng = philox_generator(seed)

@@ -15,8 +15,9 @@ radii into whole edit counts once (radius, inner_radius) and the
 per-window feasibility and inner-radius tests compare ints only.  The
 window grid is whole numbers too: its bounds and census cap are
 computed once per ConcatParams (window_grid, window_cap), and
-build_windows returns a lazy set holding five ints.  Fractions appear
-only at construction and in the once-per-decode list-mass cap.
+build_windows returns them as a WindowGrid, a record of five ints whose
+len() is the window census.  Fractions appear only at construction and
+in the once-per-decode list-mass cap.
 Rational parameters may be given as Fraction, int, or string ("2/5");
 floats are accepted and converted via their shortest decimal
 representation.
@@ -30,17 +31,18 @@ ConcatParams: a word missing from the params' memo is built in one
 batch from the block symbol tuples, without re-validating symbols that
 come from already-validated inner words, and stored with an int key
 whose order is the words' symbol order, so the list is sorted by key.
-The scan walks the grid's (lam, mu) ranges directly.  It runs one
-bit-parallel LCS recurrence per window start, over the longest window
-content there, which counts the LCS of every domain word at once.  Then
-it gates one window length at a time across every start: the counter
-after that many symbols (or, for a start too near the end, after its
-last one) against the inner radius, in one add.  The feasible block
-positions of a window depend only on (lam, mu, M), so they are cached
-per ConcatParams and received length M (feasible_positions), filled
-only on hit windows: a window's first hit costs the one feasible_jN
-call it would make without the cache, and later hits read the slot.
-Only decodable lengths reach the cache, so it holds at most
+The scan walks the grid's (lam, mu) ranges directly, after checking its
+work (starts * longest window * lane bits) against _SCAN_WORK_LIMIT.
+It runs one bit-parallel LCS recurrence per window start, over the
+longest window content there, which counts the LCS of every domain word
+at once.  Then it gates one window length at a time across every start:
+the counter after that many symbols (or, for a start too near the end,
+after its last one) against the inner radius, in one add.  The feasible
+block positions of a window depend only on (lam, mu, M), so they are
+cached per ConcatParams and received length M (feasible_positions),
+filled only on hit windows: a window's first hit costs the one
+feasible_jN call it would make without the cache, and later hits read
+the slot.  Only decodable lengths reach the cache, so it holds at most
 2 * radius + 1 lengths, each with one slot per window of its census.
 """
 
@@ -48,15 +50,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .codes import Code, Seed, sample_word_sequence
+from .codes import Seed, sample_word_sequence
 from .core import BoundViolationError, CapacityError, DomainError, InsdelError, RegimeWarning, Word
 from .core import FractionLike, _LaneTable, _flagged_lanes, _frac, _lane_budget, _lane_gate
 from .core import _lane_width, _lcs_steps, _packed_match_table, insdel_distance
@@ -69,6 +70,10 @@ _INNER_SYMBOL_LIMIT = 10 ** 5
 # The decoder holds the LCS rows of about this many bits of counters at
 # once, and one start's row when that alone is larger.
 _SCAN_BATCH_BITS = 1 << 25
+# The decoder refuses, before building its lane tables, a scan of more
+# lane bits than this: window starts * longest window * inner words *
+# (n + 1), one recurrence step per start and symbol over every lane.
+_SCAN_WORK_LIMIT = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -126,17 +131,6 @@ class InnerEncoder:
             )
         return self.words[(index - 1) * self.symbol_count + sym]
 
-    def domain(self) -> Iterator[tuple[int, int, Word]]:
-        """Yield every (index, symbol, codeword) triple."""
-        pos = 0
-        for index in range(1, self.index_count + 1):
-            for sym in range(self.symbol_count):
-                yield index, sym, self.words[pos]
-                pos += 1
-
-    def as_code(self) -> Code:
-        return Code(q=self.q, n=self.n, words=frozenset(self.words))
-
 
 @dataclass(frozen=True, order=True)
 class Window:
@@ -157,9 +151,6 @@ class Window:
     def __post_init__(self) -> None:
         if self.phi < 0 or self.lambda_len < 0 or self.lam < 0 or self.mu < 0:
             raise DomainError("window coordinates must be nonnegative")
-
-    def content(self, r: Word) -> Word:
-        return r[self.phi : self.phi + self.lambda_len]
 
 
 @dataclass(frozen=True)
@@ -375,12 +366,6 @@ class ConcatParams:
         """
         return {}, {}
 
-    def index_for_position(self, i: int) -> int:
-        """Cyclic encoder index carried by block position i (1-based)."""
-        if not 1 <= i <= self.N:
-            raise DomainError(f"block position {i} outside [1, {self.N}]")
-        return (i - 1) % self.eps_cont_N + 1
-
 
 @dataclass(frozen=True)
 class ConcatDecodeReport:
@@ -489,17 +474,15 @@ def concat_encode_message(params: ConcatParams, message: Sequence[int]) -> Word:
     return concat_encode(params, rs_encode(params.outer, message))
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class WindowGrid(Set):
-    """The grid windows over a received word of length M, as a lazy set.
+@dataclass(frozen=True, slots=True)
+class WindowGrid:
+    """The grid windows over a received word of length M, as five ints.
 
     Window (lam, mu) starts at phi = lam * step and nominally spans
     mu * step symbols, for lam in 0..lam_hi and mu in mu_lo..mu_hi; its
     extractable length is clipped at the right edge of the received
-    word.  Only the five whole numbers are stored: the size is their
-    closed form, membership is a grid test, and iteration builds each
-    Window on demand.  It compares, counts and tests membership like
-    the set of those Windows.
+    word.  len() is the window census, the closed-form size of that
+    rectangle.
     """
 
     step: int
@@ -508,36 +491,12 @@ class WindowGrid(Set):
     mu_lo: int
     mu_hi: int
 
-    def clipped(self, phi: int, mu: int) -> int:
-        """Extractable length of the window of nominal length mu * step at phi."""
-        return max(0, min(mu * self.step, self.M - phi))
-
     def __len__(self) -> int:
         return max(0, self.lam_hi + 1) * max(0, self.mu_hi - self.mu_lo + 1)
 
-    def __iter__(self) -> Iterator[Window]:
-        for lam in range(self.lam_hi + 1):
-            phi = lam * self.step
-            for mu in range(self.mu_lo, self.mu_hi + 1):
-                yield Window(phi=phi, lambda_len=self.clipped(phi, mu), lam=lam, mu=mu)
-
-    def __contains__(self, win: object) -> bool:
-        return (
-            type(win) is Window
-            and 0 <= win.lam <= self.lam_hi
-            and self.mu_lo <= win.mu <= self.mu_hi
-            and win.phi == win.lam * self.step
-            and win.lambda_len == self.clipped(win.phi, win.mu)
-        )
-
-    @classmethod
-    def _from_iterable(cls, it) -> set[Window]:
-        # Set operators (&, |, -, ^) return plain sets of Windows.
-        return set(it)
-
 
 def build_windows(params: ConcatParams, M: int) -> WindowGrid:
-    """All grid windows over a received word of length M.
+    """The grid of windows over a received word of length M.
 
     Start offsets are lam * step for lam in a range wide enough to reach
     the end of the received word; nominal lengths are mu * step with mu
@@ -628,6 +587,8 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
     codeword at once on the code's packed bit planes.
     If the received word is within (1 - alpha_out) * tau_in - eps_conc
     of a codeword (as a fraction of n*N), that codeword is in the output.
+    A scan of more than _SCAN_WORK_LIMIT lane bits (see there) raises
+    CapacityError before the inner lane tables are built.
     """
     if r.q != params.q:
         raise DomainError(f"received word alphabet {r.q} differs from q={params.q}")
@@ -639,14 +600,18 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
             f"[{max(0, total - params.radius)}, {total + params.radius}]"
         )
     windows = build_windows(params, M)
-    E, p = params.eps_cont_N, params.outer.p
-    width = _lane_width(params.n)
-    table, addends, top = params.inner_lanes
-    r_syms = r.symbols
     step, mu_lo, mu_hi = windows.step, windows.mu_lo, windows.mu_hi
     mus = range(mu_lo, mu_hi + 1)
     starts = range(0, (windows.lam_hi + 1) * step, step)
     longest = mu_hi * step
+    width = _lane_width(params.n)
+    lane_bits = len(params.inner.words) * width
+    work = len(starts) * longest * lane_bits
+    if work > _SCAN_WORK_LIMIT:
+        raise CapacityError(f"a window scan of {work} lane bits exceeds {_SCAN_WORK_LIMIT}")
+    E, p = params.eps_cont_N, params.outer.p
+    table, addends, top = params.inner_lanes
+    r_syms = r.symbols
     slots, shared = params.feasible_positions
     by_mu = slots.get(M)
     if by_mu is None:
@@ -658,7 +623,7 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
     max_inner_list = 0
     # Rows are held for a batch of starts at a time: about _SCAN_BATCH_BITS
     # of counters, and never less than one start's row.
-    row_bits = (longest + 1) * len(params.inner.words) * width
+    row_bits = (longest + 1) * lane_bits
     batch = max(1, _SCAN_BATCH_BITS // row_bits)
     for first in range(0, len(starts), batch):
         # One recurrence per start, over its longest window; rows[k][L]

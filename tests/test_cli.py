@@ -11,6 +11,7 @@ import signal
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from insdel.cli import CURVE_KINDS, CurveRequest, main
 from insdel.codes import code_to_json_dict, sample_random_code
 from insdel.concat import concat_encode_message, params_to_json_dict
 from insdel.core import CapacityError, format_word, iter_words, parse_word, word
-from oracles import distance_ref
+from oracles import DESK, distance_ref
 
 RANDOM_CODE_DIGEST = "37b80f99934c4ac587aab4656d2ef8e81c302153de2dc8482611955afdc1fdc3"
 LINEAR_CODE_DIGEST = "eff94d3e0c7ef5cb12d1629a6f8f526e98e9aa229bc77907a80e537712f406d8"
@@ -306,6 +307,9 @@ def test_usage_errors_exit_2():
 CERTIFY = ("certify", "--code-file", "{file}", "--tau-n", "1", "-L", "2")
 BLOCK_CHANNEL = ("channel", "-q", "2", "--word", "0110", "--block-len", "2", "--seed")
 CODE_N7 = json.dumps({"q": 2, "n": 7, "words": ["0000000", "0101101", "1011010", "1111111"]})
+# DESK with n = 4540: 99,880 inner symbols, just under the encoder limit,
+# and a window scan of about 5 * 10^10 lane bits.
+DESK_N4540 = json.dumps({k: str(v) if isinstance(v, Fraction) else v for k, v in {**DESK, "n": 4540}.items()})
 
 
 @pytest.mark.parametrize(
@@ -350,6 +354,18 @@ CODE_N7 = json.dumps({"q": 2, "n": 7, "words": ["0000000", "0101101", "1011010",
         pytest.param(
             ("sample", "-q", str(2 ** 61 - 1), "-n", "1", "-k", "1", "--linear", "--seed", "1"),
             None, 4, id="linear-huge-prime",
+        ),
+        pytest.param(
+            ("sample", "-q", "2", "-n", "1000000000", "-M", "1", "--seed", "1"), None, 4,
+            id="sample-huge-length",
+        ),
+        pytest.param(
+            ("sample", "-q", "2", "-n", "1000000000", "-k", "0", "--linear", "--seed", "1"), None, 4,
+            id="linear-huge-length",
+        ),
+        pytest.param(
+            ("concat-roundtrip", "--params", "{file}", "--seed", "1", "--budget", "3"), DESK_N4540, 4,
+            id="concat-roundtrip-huge-scan",
         ),
         # A 40-symbol ternary center: the deletion BFS passes through levels of millions of words.
         pytest.param(

@@ -85,6 +85,20 @@ def test_sample_word_sequence_never_builds_q_to_the_n():
     assert time.perf_counter() - start < 1.0
 
 
+def test_sample_symbol_limit_is_inclusive(monkeypatch):
+    """4 words of length 5 and a 9-word span of length 4 are drawn at their symbol counts, refused below."""
+    monkeypatch.setattr(codes, "_SAMPLE_SYMBOL_LIMIT", 20)
+    assert len(sample_word_sequence(2, 5, 4, 1)) == 4
+    monkeypatch.setattr(codes, "_SAMPLE_SYMBOL_LIMIT", 19)
+    with pytest.raises(CapacityError, match="4 words of length 5 exceeds 19 symbols"):
+        sample_word_sequence(2, 5, 4, 1)
+    monkeypatch.setattr(codes, "_SAMPLE_SYMBOL_LIMIT", 36)
+    assert len(sample_random_linear_code(3, 4, 2, 7)) == 9
+    monkeypatch.setattr(codes, "_SAMPLE_SYMBOL_LIMIT", 35)
+    with pytest.raises(CapacityError, match="9 words of length 4 exceeds 35 symbols"):
+        sample_random_linear_code(3, 4, 2, 7)
+
+
 def test_sample_random_code_full_space():
     code = sample_random_code(2, 4, 16, 123)
     assert code.words == frozenset(iter_words(2, 4))

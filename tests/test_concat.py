@@ -214,13 +214,12 @@ def test_params_reject_mismatched_inner(desk_params):
 
 
 def test_inner_encoder_table_layout(desk_params):
+    """Word k is the encoding of (index, sym) with divmod(k, p) = (index - 1, sym)."""
     enc = desk_params.inner
-    triples = list(enc.domain())
-    assert len(triples) == 22
-    for index, sym, codeword in triples:
-        assert codeword == enc.encode(index, sym)
-        assert codeword == enc.words[(index - 1) * enc.symbol_count + sym]
-    assert len(enc.as_code()) == 22
+    assert len(set(enc.words)) == 22
+    for k, codeword in enumerate(enc.words):
+        index, sym = divmod(k, enc.symbol_count)
+        assert codeword == enc.encode(index + 1, sym)
 
 
 def test_inner_encoder_encode_validation(desk_params):
@@ -250,23 +249,16 @@ def test_inner_encoder_sampling_is_seeded():
     assert InnerEncoder.sample(2, 10, 2, 11, seed=2025).words != a.words
 
 
-def test_index_for_position_cycles(desk_params, host_n6):
-    assert [desk_params.index_for_position(i) for i in range(1, 9)] == [1, 2] * 4
-    assert host_n6.index_for_position(4) == 1
-    with pytest.raises(DomainError):
-        desk_params.index_for_position(0)
-    with pytest.raises(DomainError):
-        desk_params.index_for_position(9)
-
-
-def test_concat_encode_block_structure(desk_params):
-    outer_word = rs_encode(desk_params.outer, MESSAGE)
-    c = concat_encode(desk_params, outer_word)
-    assert len(c) == 80
-    for i, sym in enumerate(outer_word, start=1):
-        block = c[(i - 1) * 10 : i * 10]
-        assert block == desk_params.inner.encode(desk_params.index_for_position(i), sym)
-    assert concat_encode_message(desk_params, MESSAGE) == c
+def test_concat_encode_block_structure(desk_params, host_n6):
+    """Block i (1-based) encodes outer symbol i under the cyclic index (i - 1) mod eps_cont_N + 1."""
+    for params, message in ((desk_params, MESSAGE), (host_n6, MESSAGE[:2])):
+        outer_word = rs_encode(params.outer, message)
+        c = concat_encode(params, outer_word)
+        n, E = params.n, params.eps_cont_N
+        assert len(c) == n * params.N
+        for i, sym in enumerate(outer_word, start=1):
+            assert c[(i - 1) * n : i * n] == params.inner.encode((i - 1) % E + 1, sym)
+        assert concat_encode_message(params, message) == c
 
 
 def test_concat_encode_length_check(desk_params):
@@ -294,22 +286,20 @@ def test_window_ordering_and_content():
     wins = [Window(4, 2, 2, 1), Window(0, 4, 0, 2), Window(2, 2, 1, 1)]
     assert [w.phi for w in sorted(wins)] == [0, 2, 4]
     r = word((0, 1, 1, 0, 1, 0), 2)
-    assert Window(2, 3, 1, 1).content(r).symbols == (1, 0, 1)
+    win = Window(2, 3, 1, 1)
+    assert r[win.phi : win.phi + win.lambda_len].symbols == (1, 0, 1)
     with pytest.raises(DomainError):
         Window(-1, 2, 0, 1)
 
 
 def test_build_windows_census(host_n3):
-    wins = build_windows(host_n3, 10)
-    assert {w.lam for w in wins} == set(range(9))
-    assert {w.mu for w in wins} == {3, 4, 5, 6}
-    assert len(wins) == 36
-    clipped = next(w for w in wins if w.lam == 8 and w.mu == 6)
-    assert clipped.phi == 8 and clipped.lambda_len == 2
+    grid = build_windows(host_n3, 10)
+    assert dataclasses.astuple(grid) == (1, 10, 8, 3, 6)
+    assert len(grid) == 36
 
 
 def test_build_windows_small_and_invalid(desk_params):
-    assert build_windows(desk_params, 0) == set()
+    assert len(build_windows(desk_params, 0)) == 0
     with pytest.raises(DomainError):
         build_windows(desk_params, -1)
 
@@ -320,50 +310,19 @@ def test_build_windows_small_and_invalid(desk_params):
     ids=["desk", "desk-fractional", "host-n6", "host-n3", "host-wide", "sharp"],
 )
 def test_build_windows_matches_reference_grid(instance):
-    """The lazy grid equals oracles.windows_ref for every M up to nN + radius + 2.
-
-    Equal both ways round, equal sizes, the same iterated windows, set
-    operators that return plain sets, and membership true for every
-    reference window but false one coordinate off it: wrong lambda_len,
-    phi off lam * step, mu or lam outside the grid, or not a Window.
-    """
+    """The record's (lam, mu) rectangle and size equal oracles.windows_ref's for every M up to nN + radius + 2."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
         params = make_concat_params(**instance)
     assert params.window_cap == math.floor(window_cap_ref(params))
-    step = params.tau_hat_n
     for M in range(params.n * params.N + params.radius + 3):
         grid = build_windows(params, M)
-        ref = windows_ref(params, M)
-        assert grid == ref and ref == grid, M
-        assert len(grid) == len(ref), M
-        listed = list(grid)
-        assert len(listed) == len(ref) and set(listed) == ref, M
-        assert (grid & ref) == ref and (grid - ref) == set() and type(grid | ref) is set, M
-        if not ref:
-            assert all(Window(0, 0, 0, mu) not in grid for mu in range(10)), M
-            continue
-        lam_hi = max(w.lam for w in ref)
-        mu_lo = min(w.mu for w in ref)
-        mu_hi = max(w.mu for w in ref)
-
-        def on_grid(lam, mu):
-            phi = lam * step
-            return Window(phi, max(0, min(mu * step, M - phi)), lam, mu)
-
-        for win in ref:
-            assert win in grid, (M, win)
-            misses = [
-                Window(win.phi, win.lambda_len + 1, win.lam, win.mu),
-                Window(win.phi + 1, win.lambda_len, win.lam, win.mu),
-                on_grid(win.lam, mu_hi + 1),
-                on_grid(lam_hi + 1, win.mu),
-                (win.phi, win.lambda_len, win.lam, win.mu),
-            ]
-            if mu_lo:
-                misses.append(on_grid(win.lam, mu_lo - 1))
-            for miss in misses:
-                assert miss not in ref and miss not in grid, (M, miss)
+        ref = {(w.lam, w.mu) for w in windows_ref(params, M)}
+        rectangle = {
+            (lam, mu) for lam in range(grid.lam_hi + 1) for mu in range(grid.mu_lo, grid.mu_hi + 1)
+        }
+        assert (grid.step, grid.M) == (params.tau_hat_n, M)
+        assert rectangle == ref and len(grid) == len(ref), M
     with pytest.raises(DomainError):
         build_windows(params, -1)
 
@@ -421,7 +380,7 @@ def test_align_window_stays_close():
         length = int(rng.integers(0, 25))
         r = word(tuple(int(v) for v in rng.integers(0, 2, size=sp + length + step + 5)), 2)
         win = align_window(sp, length, step)
-        assert insdel_distance(r[sp : sp + length], win.content(r)) <= step
+        assert insdel_distance(r[sp : sp + length], r[win.phi : win.phi + win.lambda_len]) <= step
 
 
 def index_classes(positions: range, i: int, E: int) -> set[int]:
@@ -465,7 +424,7 @@ def test_feasible_jN_matches_direct_scan(desk_params, desk_fractional):
     for params in [desk_fractional, *others]:
         total = params.n * params.N
         for M in range(max(0, total - params.radius), total + params.radius + 1):
-            coords = {(w.lam, w.mu) for w in build_windows(params, M)}
+            coords = {(w.lam, w.mu) for w in windows_ref(params, M)}
             check_feasible_against_scan(params, M, sorted(coords))
 
 
@@ -607,21 +566,20 @@ def direct_scan(params: ConcatParams, received):
     oracles.brute_feasible allows, builds.  Shares no code with the
     decoder's match tables, scan or feasibility cache.
     """
-    n, inner_radius, E = params.n, params.inner_radius, params.eps_cont_N
+    n, inner_radius, E, p = params.n, params.inner_radius, params.eps_cont_N, params.outer.p
     M = len(received)
-    domain = list(params.inner.domain())
+    words = params.inner.words
     hits = []
     lists = [set() for _ in range(params.N)]
     matrices = {}
-    for win in build_windows(params, M):
+    # Sorted windows come grouped by start, so each start's matrices are built once.
+    for win in sorted(windows_ref(params, M)):
         if win.phi not in matrices:
             longest = received[win.phi : win.phi + params.window_grid[2] * params.tau_hat_n]
-            matrices = {
-                win.phi: [lcs_matrix_ref(longest.symbols, w.symbols) for _, _, w in domain]
-            }
+            matrices = {win.phi: [lcs_matrix_ref(longest.symbols, w.symbols) for w in words]}
         hit = [
-            (index - 1, sym)
-            for (index, sym, _), matrix in zip(domain, matrices[win.phi])
+            divmod(k, p)
+            for k, matrix in enumerate(matrices[win.phi])
             if n + win.lambda_len - 2 * matrix[win.lambda_len][n] <= inner_radius
         ]
         hits.append(len(hit))
@@ -726,6 +684,23 @@ def test_a_refused_length_leaves_the_feasibility_cache_empty(monkeypatch):
             list_decode_concat_detailed(params, word((0,) * M, params.q))
     assert calls == [0]
     assert params.feasible_positions == ({}, {})
+
+
+def test_scan_work_limit_is_inclusive(monkeypatch):
+    """SHARP's longest decodable word scans 1,871,100 lane bits: decoded at that limit, refused below.
+
+    A refused decode builds neither the inner lane tables nor a feasibility slot.
+    """
+    params = fresh_params(SHARP)
+    received = word((0,) * (params.n * params.N + params.radius), params.q)
+    monkeypatch.setattr(concat, "_SCAN_WORK_LIMIT", 1_871_099)
+    with pytest.raises(CapacityError, match="^a window scan of 1871100 lane bits exceeds 1871099$"):
+        list_decode_concat_detailed(params, received)
+    assert "inner_lanes" not in params.__dict__
+    assert params.feasible_positions == ({}, {})
+    monkeypatch.setattr(concat, "_SCAN_WORK_LIMIT", 1_871_100)
+    report = list_decode_concat_detailed(params, received)
+    assert report.window_count == len(build_windows(params, len(received)))
 
 
 def test_a_full_feasibility_cache_on_sharp_stays_under_a_megabyte():

@@ -1,7 +1,10 @@
 """Checks on the package source itself."""
 
 import ast
+import types
 from pathlib import Path
+
+import insdel
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "insdel"
 
@@ -110,11 +113,12 @@ def test_channels_do_not_replay_their_scripts():
 
 
 def test_concat_decoder_calls_feasibility_and_recovery_by_bare_name():
-    """The decoder looks both stages up in concat's namespace at call time.
+    """The decoder looks its traced stages up in concat's namespace at call time.
 
-    perfbench's traced run rebinds concat.feasible_jN and the
-    brute_force_list_recover name concat imports, and fails when either
-    never fires; an attribute call or a local alias would bypass that.
+    perfbench's traced run rebinds concat.build_windows,
+    concat.feasible_jN and the brute_force_list_recover name concat
+    imports, and fails when one never fires; an attribute call or a
+    local alias would bypass that.
     """
     decoder = dict(functions(PACKAGE / "concat.py"))["concat.list_decode_concat_detailed"]
     called = {
@@ -122,4 +126,17 @@ def test_concat_decoder_calls_feasibility_and_recovery_by_bare_name():
         for node in ast.walk(decoder)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
     }
-    assert {"feasible_jN", "brute_force_list_recover"} <= called
+    assert {"build_windows", "feasible_jN", "brute_force_list_recover"} <= called
+
+
+def test_export_list_is_sorted_unique_and_complete():
+    """insdel.__all__ names every public non-module attribute once, in order, and each resolves."""
+    names = insdel.__all__
+    assert names == sorted(set(names))
+    assert all(hasattr(insdel, name) for name in names)
+    public = {
+        name
+        for name, value in vars(insdel).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(names)
