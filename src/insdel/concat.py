@@ -24,8 +24,9 @@ representation.
 
 The decoder computes each invariant at the level where it stops
 changing: one LCS match table over every inner-domain word, each word
-in its own lane of a big integer, and every block position's inner-word
-symbol tuples, once per ConcatParams; the outer code's codebook and its
+in its own lane of a big integer, its S-gram table, filled lazily by
+decodes, and every block position's inner-word symbol tuples, once per
+ConcatParams; the outer code's codebook and its
 packed bit planes once per RSCode.  Each listed word is built once per
 ConcatParams: a word missing from the params' memo is built in one
 batch from the block symbol tuples, without re-validating symbols that
@@ -33,11 +34,17 @@ come from already-validated inner words, and stored with an int key
 whose order is the words' symbol order, so the list is sorted by key.
 The scan walks the grid's (lam, mu) ranges directly, after checking its
 work (starts * longest window * lane bits) against _SCAN_WORK_LIMIT.
-It runs one bit-parallel LCS recurrence per window start, over the
-longest window content there, which counts the LCS of every domain word
-at once.  Then it gates one window length at a time across every start:
-the counter after that many symbols (or, for a start too near the end,
-after its last one) against the inner radius, in one add.  The feasible
+It runs one bit-parallel LCS recurrence per S consecutive window
+starts, over the longest window content of each, which counts the LCS
+of every domain word against S starts at once: the inner lane table is
+repeated S times side by side, and each step reads one S-gram of the
+received word (the multiple-text packing of Hyyrö, Fredriksson &
+Navarro).  S is the largest count with (q + 1)**S <= _SCAN_GRAM_LIMIT:
+4 at q = 4, 6 at q = 2.  Then it gates one window length at a time
+across every recurrence, S starts per add: the counter after that many
+symbols (or, for a start too near the end, after its last one) against
+the inner radius.  A start's flags are split out of its recurrence's
+only when those are nonzero.  The feasible
 block positions of a window depend only on (lam, mu, M), so they are
 cached per ConcatParams and received length M (feasible_positions),
 filled only on hit windows: a window's first hit costs the one
@@ -50,7 +57,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
@@ -59,9 +66,10 @@ from typing import Sequence
 
 from .codes import Seed, sample_word_sequence
 from .core import BoundViolationError, CapacityError, DomainError, InsdelError, RegimeWarning, Word
-from .core import FractionLike, _LaneTable, _flagged_lanes, _frac, _lane_budget, _lane_gate
-from .core import _lane_width, _lcs_steps, _packed_match_table, insdel_distance
-from .decode import RSCode, brute_force_list_recover, rs_encode
+from .core import FractionLike, _LaneTable, _fill_grams, _flagged_lanes, _frac, _gram_keys
+from .core import _gram_table, _lane_budget, _lane_gate, _lane_width, _lcs_steps, _pack_lanes
+from .core import _packed_match_table, _repeat_groups, _split_groups, insdel_distance
+from .decode import RSCode, _check_recovery_size, brute_force_list_recover, rs_encode
 
 # make_concat_params refuses an inner encoder of more symbols than this
 # (index count * p words of length n) before sampling it, so each of the
@@ -70,10 +78,13 @@ _INNER_SYMBOL_LIMIT = 10 ** 5
 # The decoder holds the LCS rows of about this many bits of counters at
 # once, and one start's row when that alone is larger.
 _SCAN_BATCH_BITS = 1 << 25
-# The decoder refuses, before building its lane tables, a scan of more
-# lane bits than this: window starts * longest window * inner words *
+# The decoder refuses, before building its lane or gram tables, a scan of
+# more lane bits than this: window starts * longest window * inner words *
 # (n + 1), one recurrence step per start and symbol over every lane.
 _SCAN_WORK_LIMIT = 1 << 32
+# The decoder runs S window starts in one recurrence, S the largest count
+# with (q + 1)**S grams at most this (and at least 1).
+_SCAN_GRAM_LIMIT = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -325,6 +336,32 @@ class ConcatParams:
         return table, addends, top
 
     @cached_property
+    def inner_grams(self) -> tuple[int, _LaneTable, list[int], list[int]]:
+        """(S, table, addends, tops): inner_lanes for S window starts at once.
+
+        S is the largest count with (q + 1)**S <= _SCAN_GRAM_LIMIT, and at
+        least 1.  The gram table holds S copies of inner_lanes' lanes side
+        by side, copy s at bit s * G with G = inner words * (n + 1); its
+        match dict, keyed by the S-gram keys of received words, starts
+        empty and is filled by the decoder, so it holds at most
+        (q + 1)**S entries of S * G bits.  addends[L] is inner_lanes'
+        addend for L in every copy, and tops[g] keeps the gate bits of
+        the first g copies.  Built on the first decode, then shared by
+        every decode.
+        """
+        table, addends, top = self.inner_lanes
+        S = 1
+        while (self.q + 1) ** (S + 1) <= _SCAN_GRAM_LIMIT:
+            S += 1
+        G = len(self.inner.words) * _lane_width(self.n)
+        return (
+            S,
+            _gram_table(table, S, G),
+            [_repeat_groups(addend, S, G) for addend in addends],
+            [_repeat_groups(top, g, G) for g in range(S + 1)],
+        )
+
+    @cached_property
     def listed_words(
         self,
     ) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], tuple[int, Word]]]:
@@ -378,6 +415,9 @@ class ConcatDecodeReport:
     inner_match_total: int
     max_inner_list: int
     list_mass: int
+    # Scan statistics, kept out of the printed and compared report.
+    scan_recurrences: int = field(repr=False, compare=False)
+    starts_per_recurrence: int = field(repr=False, compare=False)
 
 
 def make_concat_params(
@@ -403,7 +443,10 @@ def make_concat_params(
     lengths, N <= p when the evaluation points default to 0..N-1, a
     whole number eps_cont * N of encoder indices, and an inner encoder
     of at most _INNER_SYMBOL_LIMIT symbols (index count * p * n), past
-    which CapacityError is raised before sampling.
+    which CapacityError is raised before sampling.  Once the outer code
+    is checked, an outer codebook past the recovery limits (p**K
+    codewords, p**K * N symbols) raises CapacityError before the inner
+    encoder is sampled, since no decode could recover from it.
     """
     if N < 1 or n < 1:
         raise DomainError("outer and inner lengths must be positive")
@@ -421,6 +464,7 @@ def make_concat_params(
     if points is None:
         points = tuple(range(N))
     outer = RSCode(p=p, k=K, points=tuple(points))
+    _check_recovery_size(p, K, N)
     inner = InnerEncoder.sample(q, n, int(count), p, inner_seed)
     return ConcatParams(
         N=N,
@@ -610,49 +654,73 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
     if work > _SCAN_WORK_LIMIT:
         raise CapacityError(f"a window scan of {work} lane bits exceeds {_SCAN_WORK_LIMIT}")
     E, p = params.eps_cont_N, params.outer.p
-    table, addends, top = params.inner_lanes
-    r_syms = r.symbols
+    table, addends, _ = params.inner_lanes
+    S, grams, group_addends, tops = params.inner_grams
+    top = tops[S]
     slots, shared = params.feasible_positions
     by_mu = slots.get(M)
     if by_mu is None:
         by_mu = slots[M] = [[None] * len(starts) for _ in mus]
+    # Recurrence h runs starts h*S .. h*S + S - 1 at once, start h*S + s in
+    # group s, over the longest window from its first start: step t reads
+    # the S-gram key at heads[h] + t.  A start's counter stops at the last
+    # received symbol, so a window reaching past the end reads the counter
+    # of its clipped content.
+    heads = starts[::S]
+    keys = _gram_keys(r.symbols, params.q, step, S, starts.stop + longest)
+    _fill_grams(grams, table, keys, lane_bits)
+    # A start's windows that reach past the end are gated at its clipped
+    # length, min(longest, M - phi): edges[h] holds those addends for the
+    # starts of recurrence h, and 0, which flags nothing, for the starts
+    # past lam_hi that fill the last one.  Recurrences before `whole`
+    # clip no start.
+    whole = max(0, (M - longest) // step + 1) // S
+    ends = [addends[min(longest, max(0, M - phi))] for phi in starts[whole * S :]]
+    ends += [0] * (-len(starts) % S)
+    edges = [group_addends[longest]] * whole
+    edges += [_pack_lanes(ends[i : i + S], lane_bits) for i in range(0, len(ends), S)]
     # hit_lanes[j] gathers the gate flags of every (index, sym) lane hit
     # by a window that position j is feasible for, whatever the index.
     hit_lanes = [0] * params.N
     match_total = 0
     max_inner_list = 0
-    # Rows are held for a batch of starts at a time: about _SCAN_BATCH_BITS
-    # of counters, and never less than one start's row.
-    row_bits = (longest + 1) * lane_bits
+    # Rows are held for a batch of recurrences at a time: about
+    # _SCAN_BATCH_BITS of counters, and never less than one recurrence's row.
+    row_bits = (longest + 1) * S * lane_bits
     batch = max(1, _SCAN_BATCH_BITS // row_bits)
-    for first in range(0, len(starts), batch):
-        # One recurrence per start, over its longest window; rows[k][L]
-        # is the LCS counter after L symbols.  A start with less than
-        # longest symbols left has a shorter row, and every window
-        # reaching past the end reads its last entry.
+    for first in range(0, len(heads), batch):
+        # rows[k][L] is the counter of recurrence first + k after L symbols.
         rows = [
-            list(_lcs_steps(r_syms[phi : phi + longest], table))
-            for phi in starts[first : first + batch]
+            list(_lcs_steps(keys[phi : phi + longest], grams)) for phi in heads[first : first + batch]
         ]
-        clipped = [(row[-1] + addends[len(row) - 1]) & top for row in rows]
+        clipped = [(row[-1] + edge) & top for row, edge in zip(rows, edges[first : first + batch])]
         for mu, positions in zip(mus, by_mu):
-            # The windows of length L = mu * step at every start of the
-            # batch: starts up to lam = (M - L) // step hold L symbols,
-            # the rest are clipped.
+            # The windows of length L = mu * step: starts up to
+            # lam = (M - L) // step hold L symbols, the rest are clipped.
+            # Recurrences before `full` hold only the former, and
+            # recurrence `full` holds `part` of them in its low groups.
             L = mu * step
-            full = max(0, (M - L) // step + 1 - first)
-            addend = addends[L]
-            flags = [(row[L] + addend) & top for row in rows[:full]] + clipped[full:]
-            hits = list(map(int.bit_count, flags))
-            match_total += sum(hits)
-            max_inner_list = max(max_inner_list, max(hits))
-            for k in compress(range(len(flags)), flags):
-                lam = first + k
+            full, part = divmod(max(0, (M - L) // step + 1 - first * S), S)
+            addend = group_addends[L]
+            flags = [(row[L] + addend) & top for row in rows[:full]]
+            if part and full < len(rows):
+                low = tops[part]
+                flags.append(((rows[full][L] + addend) & low) | (clipped[full] & (top ^ low)))
+            flags += clipped[len(flags) :]
+            counts = list(map(int.bit_count, flags))
+            match_total += sum(counts)
+            # Split the recurrences with a hit: groups[i] holds the flags of
+            # start lams[i].  A start flags at most its recurrence's count.
+            hit = list(compress(range(first, first + len(flags)), flags))
+            groups = _split_groups(compress(flags, flags), S, lane_bits)
+            lams = [lam for h in hit for lam in range(h * S, h * S + S)]
+            if max(counts) > max_inner_list:
+                max_inner_list = max(max_inner_list, max(map(int.bit_count, groups)))
+            for lam, bits in compress(zip(lams, groups), groups):
                 span = positions[lam]
                 if span is None:
                     span = feasible_jN(lam, mu, params, M)
                     span = positions[lam] = shared.setdefault(span, span)
-                bits = flags[k]
                 for j in span:
                     hit_lanes[j] |= bits
 
@@ -687,6 +755,8 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
         inner_match_total=match_total,
         max_inner_list=max_inner_list,
         list_mass=mass,
+        scan_recurrences=len(heads),
+        starts_per_recurrence=S,
     )
 
 

@@ -11,9 +11,13 @@ words, each in its own (n+1)-bit lane of a big int, and one recurrence
 that advances a word against every lane and counts each lane's LCS in
 a packed counter.  The distance reads a one-lane counter; certification
 and the concat scan test every lane of a counter against one radius
-with one add.  The same lanes hold a Reed-Solomon codebook as bit
-planes, and the same add tests every lane's count of agreements with
-a list recovery's position lists.
+with one add.  The concat scan also runs several texts in one
+recurrence: a gram table repeats the lanes once per text, side by
+side, and is keyed by grams, tuples holding one symbol of each text,
+so the same recurrence advances every text against every word.  The
+same lanes hold a Reed-Solomon codebook as bit planes, and the same add
+tests every lane's count of agreements with a list recovery's position
+lists.
 
 Deletion neighborhoods of a word are governed by its run-length
 structure, so the run decomposition helpers live here too.  A word is
@@ -211,7 +215,8 @@ def _pack_lanes(values: Sequence[int], width: int) -> int:
     return values[0] if values else 0
 
 
-# A packed LCS table (match, mask, ones, n), as _packed_match_table builds it.
+# A packed LCS table (match, mask, ones, n), as _packed_match_table builds it;
+# a gram table (_gram_table) keys match by grams instead of symbols.
 _LaneTable = tuple[dict[int, int], int, int, int]
 
 
@@ -363,6 +368,69 @@ def _lcs_steps(xs: tuple[int, ...], table: _LaneTable) -> Iterator[int]:
         counts += (s >> n) & ones
         v = (s | (v - u)) & mask
         yield counts
+
+
+def _repeat_groups(value: int, groups: int, width: int) -> int:
+    """value, below 2**width, in each of `groups` groups: group s at bit s*width."""
+    return value * _pack_lanes([1] * groups, width)
+
+
+def _gram_table(table: _LaneTable, groups: int, width: int) -> _LaneTable:
+    """An empty LCS table for `groups` texts at once against table's words.
+
+    The multiple-text packing of Hyyrö, Fredriksson & Navarro: group s
+    is a copy of table's lanes at bit s*width, width being the table's
+    bit width, and runs against text s.  The match dict, empty here,
+    is keyed by gram keys (:func:`_gram_keys`) and filled by
+    :func:`_fill_grams`; one run of :func:`_lcs_steps` over a key
+    sequence then advances every group's recurrence at once.
+    """
+    match, mask, ones, n = table
+    return {}, _repeat_groups(mask, groups, width), _repeat_groups(ones, groups, width), n
+
+
+def _gram_keys(
+    xs: Sequence[int], q: int, step: int, groups: int, length: int
+) -> list[tuple[int, ...]]:
+    """The `groups`-gram of xs at each position i < length, as a match key.
+
+    The gram at i is (xs[i], xs[i + step], ..., xs[i + (groups-1)*step]),
+    with the sentinel q standing for every symbol past the end of xs.
+    Run from position i in a gram table, group s reads xs from
+    i + s*step; a sentinel matches nothing, so a group's counter stops
+    at the last symbol of xs.
+    """
+    length = max(0, length)
+    padded = tuple(xs) + (q,) * (length + (groups - 1) * step - len(xs))
+    return list(zip(*[padded[s * step : s * step + length] for s in range(groups)]))
+
+
+def _fill_grams(
+    grams: _LaneTable, table: _LaneTable, keys: Iterable[tuple[int, ...]], width: int
+) -> None:
+    """Add to grams the match entry of every gram in keys that it lacks.
+
+    A gram's entry holds, in group s, table's match entry of the gram's
+    symbol s; a symbol without one, such as the sentinel, matches
+    nothing.  Entries matching nothing are not stored, so over q
+    symbols and the sentinel the dict holds at most (q + 1)**groups
+    entries of groups*width bits.
+    """
+    match, symbols = grams[0], table[0]
+    for gram in set(keys).difference(match):
+        entry = _pack_lanes([symbols.get(symbol, 0) for symbol in gram], width)
+        if entry:
+            match[gram] = entry
+
+
+def _split_groups(words: Iterable[int], groups: int, width: int) -> list[int]:
+    """The width-bit groups of each word, each shifted to bit 0, in one list.
+
+    Entry k*groups + s is group s (at bit s*width) of the k-th word.
+    """
+    group = (1 << width) - 1
+    shifts = range(0, groups * width, width)
+    return [word >> shift & group for word in words for shift in shifts]
 
 
 def lcs_length(a: Word, b: Word) -> int:

@@ -30,6 +30,7 @@ from .core import insdel_distance
 
 _CERTIFY_CENTER_LIMIT = 10 ** 7
 _RECOVER_SPAN_LIMIT = 10 ** 6
+_RECOVER_SYMBOL_LIMIT = 10 ** 7
 _INT64_DRAW_LIMIT = 2 ** 63  # largest exclusive bound rng.integers takes
 
 PositionLists = Sequence[frozenset[int]]
@@ -46,6 +47,21 @@ class DecodeResult:
 class CertifyResult(NamedTuple):
     ok: bool
     witness: Word | None
+
+
+def _check_recovery_size(p: int, k: int, n: int) -> None:
+    """Raise CapacityError when list recovery over RS(p, K = k, N = n) is too large.
+
+    Recovery enumerates the codebook: p**K codewords, at most
+    _RECOVER_SPAN_LIMIT of them, of N symbols each, at most
+    _RECOVER_SYMBOL_LIMIT symbols in all.  Nothing is built first.
+    """
+    if _power_exceeds(p, k, _RECOVER_SPAN_LIMIT):
+        raise CapacityError(f"p**K = {p}**{k} exceeds the enumeration limit {_RECOVER_SPAN_LIMIT}")
+    if p ** k * n > _RECOVER_SYMBOL_LIMIT:
+        raise CapacityError(
+            f"a codebook of {p}**{k} words of length {n} exceeds {_RECOVER_SYMBOL_LIMIT} symbols"
+        )
 
 
 @dataclass(frozen=True)
@@ -77,17 +93,25 @@ class RSCode:
     def codebook(self) -> tuple[tuple[int, ...], ...]:
         """Every codeword, in itertools.product message order; built on first use.
 
-        Raises CapacityError, before building anything, when p**K exceeds
-        the enumeration limit.
+        Built by linearity: symbol j of the codeword of message m is
+        sum(m[i] * x_j**i) mod p, so position j's column over all
+        messages grows one message symbol at a time, each step adding
+        that symbol's p multiples of x_j**i to every entry so far, and
+        the columns are zipped into codewords.  Raises CapacityError,
+        before building anything, past the recovery limits
+        (_check_recovery_size).
         """
-        if _power_exceeds(self.p, self.k, _RECOVER_SPAN_LIMIT):
-            raise CapacityError(
-                f"p**K = {self.p}**{self.k} exceeds the enumeration limit {_RECOVER_SPAN_LIMIT}"
-            )
-        return tuple(
-            rs_encode(self, message)
-            for message in itertools.product(range(self.p), repeat=self.k)
-        )
+        _check_recovery_size(self.p, self.k, self.n)
+        p = self.p
+        columns = []
+        for x in self.points:
+            column, power = [0], 1
+            for _ in range(self.k):
+                terms = [m * power % p for m in range(p)]
+                column = [(c + t) % p for c in column for t in terms]
+                power = power * x % p
+            columns.append(column)
+        return tuple(zip(*columns))
 
     @cached_property
     def codebook_planes(self) -> _PlaneTable:
@@ -290,7 +314,7 @@ def brute_force_list_recover(
     rational, so a codeword is kept when it agrees on at least
     ceil(alpha*N) positions.  When ell is given, the total list mass
     sum(|A_i|) is checked against it up front, before the codebook is
-    built; a code above the enumeration limit raises CapacityError.
+    built; a code past the recovery limits raises CapacityError.
     """
     exact = _frac(alpha, "alpha")
     if not 0 <= exact <= 1:

@@ -467,6 +467,33 @@ def test_huge_field_orders_exit_within_a_second(tmp_path, desk_params):
         assert stderr.getvalue().startswith("error: ") == (code != 0), argv
 
 
+def test_a_params_file_past_the_codebook_symbol_limit_exits_within_a_second(tmp_path, desk_params):
+    """DESK with N = p = 997 and K = 2 is refused at load (exit 4).
+
+    Its 994,009 codewords are under the 10^6 codeword limit, and its 997
+    inner words of 10 symbols and window scan of about 1.6 * 10^9 lane
+    bits pass their limits too, but a first recovery would build about
+    9.9 * 10^8 codebook symbols, past the 10^7 symbol limit.
+    """
+    record = {key: value for key, value in params_to_json_dict(desk_params).items() if key != "points"}
+    path = tmp_path / "codebook.json"
+    path.write_text(json.dumps({**record, "N": 997, "p": 997, "K": 2, "eps_cont": "1/997",
+                                "ell_out": 10 ** 6}))
+    for argv in (
+        ["concat-roundtrip", "--params", str(path), "--seed", "1", "--budget", "3"],
+        ["concat-decode", "--params", str(path), "--word", "01" * 4985],
+    ):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            assert main(argv) == 4, argv
+        assert time.perf_counter() - start < 1.0, argv
+        assert stdout.getvalue() == "", argv
+        assert stderr.getvalue() == (
+            "error: a codebook of 997**2 words of length 997 exceeds 10000000 symbols\n"
+        ), argv
+
+
 def test_oversized_params_files_exit_within_a_second(tmp_path, desk_params):
     """Cheap bounds come first: nothing of a huge params file is built or sampled.
 

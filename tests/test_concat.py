@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -37,7 +38,8 @@ from insdel.concat import (
 from insdel.codes import philox_generator
 from insdel.core import BoundViolationError, CapacityError, DomainError, RegimeWarning
 from insdel.core import insdel_distance, word
-from insdel.core import _flagged_lanes, _lane_budget, _lane_gate, _lane_width
+from insdel.core import _fill_grams, _flagged_lanes, _lane_budget, _lane_gate, _lane_width
+from insdel.core import _lcs_steps, _split_groups
 from insdel.decode import rs_encode
 from oracles import (
     DESK,
@@ -689,14 +691,14 @@ def test_a_refused_length_leaves_the_feasibility_cache_empty(monkeypatch):
 def test_scan_work_limit_is_inclusive(monkeypatch):
     """SHARP's longest decodable word scans 1,871,100 lane bits: decoded at that limit, refused below.
 
-    A refused decode builds neither the inner lane tables nor a feasibility slot.
+    A refused decode builds neither the inner lane or gram tables nor a feasibility slot.
     """
     params = fresh_params(SHARP)
     received = word((0,) * (params.n * params.N + params.radius), params.q)
     monkeypatch.setattr(concat, "_SCAN_WORK_LIMIT", 1_871_099)
     with pytest.raises(CapacityError, match="^a window scan of 1871100 lane bits exceeds 1871099$"):
         list_decode_concat_detailed(params, received)
-    assert "inner_lanes" not in params.__dict__
+    assert "inner_lanes" not in params.__dict__ and "inner_grams" not in params.__dict__
     assert params.feasible_positions == ({}, {})
     monkeypatch.setattr(concat, "_SCAN_WORK_LIMIT", 1_871_100)
     report = list_decode_concat_detailed(params, received)
@@ -739,16 +741,130 @@ def test_a_full_feasibility_cache_on_sharp_stays_under_a_megabyte():
 
 @pytest.mark.parametrize("instance", [DESK, SHARP, HOST_N6], ids=["desk", "sharp", "host-n6"])
 def test_scan_batches_of_any_size_decode_alike(monkeypatch, instance):
-    """A batch of one start, of a few, and of all of them give the same report."""
+    """A batch of one recurrence, of a few, and of all of them give the same report."""
     params = fresh_params(instance)
     received = [full_budget_channel(params, seed)[1] for seed in range(3)]
     expected = [list_decode_concat_detailed(params, r) for r in received]
-    table_bits = len(params.inner.words) * _lane_width(params.n)
+    table_bits = params.inner_grams[0] * len(params.inner.words) * _lane_width(params.n)
     longest = params.window_grid[2] * params.tau_hat_n
-    for starts in (1, 3):
-        monkeypatch.setattr(concat, "_SCAN_BATCH_BITS", starts * (longest + 1) * table_bits)
+    for recurrences in (1, 3):
+        monkeypatch.setattr(concat, "_SCAN_BATCH_BITS", recurrences * (longest + 1) * table_bits)
         batched = [list_decode_concat_detailed(fresh_params(instance), r) for r in received]
-        assert [repr(b) for b in batched] == [repr(e) for e in expected], starts
+        assert [repr(b) for b in batched] == [repr(e) for e in expected], recurrences
+
+
+def edge_words(params: ConcatParams, seed: int):
+    """A full-budget word, and words of the shortest and longest decodable lengths."""
+    sent, received = full_budget_channel(params, seed)
+    rng = random.Random(seed)
+    extremes = [
+        random_channel(sent, n_ins, n_del, rng.randrange(2**63))[0]
+        for n_ins, n_del in ((0, params.radius), (params.radius, 0))
+    ]
+    return [received, *extremes]
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [DESK, DESK_FRACTIONAL, HOST_N3, HOST_N6, HOST_WIDE, SHARP],
+    ids=["desk", "desk-fractional", "host-n3", "host-n6", "host-wide", "sharp"],
+)
+def test_every_group_of_the_scan_counts_its_start_like_the_reference(monkeypatch, instance):
+    """Each recurrence the decoder runs holds S starts, each equal to its reference row.
+
+    The recurrences are recorded as the decoder runs them.  Group s of
+    recurrence h counts start lam = h*S + s: after t symbols, its lane k
+    holds lcs_matrix_ref's LCS of the start's content (its longest
+    window, clipped at the end of the word) against inner word k, at
+    prefix min(t, content length).  Groups past lam_hi are not starts.
+    The report's scan fields read the recurrence count,
+    ceil((lam_hi + 1) / S), and S.
+    """
+    params = fresh_params(instance)
+    rows = []
+
+    def recorded(xs, table):
+        rows.append(list(_lcs_steps(xs, table)))
+        return iter(rows[-1])
+
+    monkeypatch.setattr(concat, "_lcs_steps", recorded)
+    n, words = params.n, [w.symbols for w in params.inner.words]
+    width = _lane_width(n)
+    G = len(words) * width
+    S = {2: 6, 4: 4}[params.q]
+    for received in edge_words(params, 0):
+        rows.clear()
+        report = list_decode_concat_detailed(params, received)
+        grid = build_windows(params, len(received))
+        step, longest = grid.step, grid.mu_hi * grid.step
+        assert (report.scan_recurrences, report.starts_per_recurrence) == (
+            -(-(grid.lam_hi + 1) // S), S
+        )
+        assert len(rows) == report.scan_recurrences
+        for h, row in enumerate(rows):
+            assert len(row) == longest + 1
+            for s in range(S):
+                lam = h * S + s
+                if lam > grid.lam_hi:
+                    continue
+                content = received.symbols[lam * step : lam * step + longest]
+                refs = [lcs_matrix_ref(content, ys) for ys in words]
+                for t, counts in enumerate(row):
+                    group = _split_groups([counts], S, G)[s]
+                    lanes = [group >> k * width & ((1 << width) - 1) for k in range(len(words))]
+                    assert lanes == [ref[min(t, len(content))][n] for ref in refs], (lam, t)
+
+
+def test_scan_fields_neither_print_nor_compare(desk_params):
+    report = list_decode_concat_detailed(desk_params, full_budget_channel(desk_params, 0)[1])
+    other = dataclasses.replace(report, scan_recurrences=0, starts_per_recurrence=1)
+    assert other == report and hash(other) == hash(report)
+    assert repr(other) == repr(report)
+    assert "scan_" not in repr(report) and "starts_per" not in repr(report)
+
+
+def test_the_gram_table_is_filled_by_decodes_not_by_params():
+    """make_concat_params builds no gram table; decodes fill it within its bound.
+
+    The bound is (q + 1)**S entries of S * G bits, every one matching
+    something.
+    """
+    params = fresh_params(SHARP)
+    assert "inner_grams" not in params.__dict__
+    S, grams, addends, tops = params.inner_grams
+    assert grams[0] == {}
+    G = len(params.inner.words) * _lane_width(params.n)
+    for received in edge_words(params, 1):
+        list_decode_concat_detailed(params, received)
+    assert 0 < len(grams[0]) <= (params.q + 1) ** S
+    assert all(0 < entry < 1 << S * G for entry in grams[0].values())
+    assert len(addends) == len(params.inner_lanes[1]) and len(tops) == S + 1
+
+
+def test_a_full_gram_table_on_sharp_stays_under_its_bound():
+    """Fill every one of the (q + 1)**S grams; the table retains under its bound.
+
+    Each of the 625 SHARP grams (S = 4) holds S * G = 1848 bits, so the
+    entries alone take about 144 KB; with the key tuples and the dict
+    the table must stay under 625 * (S * G / 8 + 200) bytes, about
+    269 KB.
+    """
+    params = fresh_params(SHARP)
+    table = params.inner_lanes[0]
+    S, grams, _, _ = params.inner_grams
+    G = len(params.inner.words) * _lane_width(params.n)
+    every = list(itertools.product(range(params.q + 1), repeat=S))
+    tracemalloc.start()
+    try:
+        _fill_grams(grams, table, every, G)
+        held = tracemalloc.get_traced_memory()[0]
+        assert len(grams[0]) == len(every) - 1  # all but the all-sentinel gram
+        del params.__dict__["inner_grams"], grams
+        retained = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (params.q + 1) ** S == 625
+    assert 0 < retained < 625 * (S * G // 8 + 200) < 2**19
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,10 @@ from insdel.core import (
     DomainError,
     RunProfile,
     Word,
+    _fill_grams,
     _flagged_lanes,
+    _gram_keys,
+    _gram_table,
     _lane_agreements,
     _lane_budget,
     _lane_gate,
@@ -23,6 +26,8 @@ from insdel.core import (
     _packed_match_table,
     _packed_plane_table,
     _power_exceeds,
+    _repeat_groups,
+    _split_groups,
     count_runs,
     format_word,
     hamming_weight,
@@ -293,6 +298,72 @@ def test_plane_table_and_agreements_match_per_lane_counts(case):
         sum(y in allowed for y, allowed in zip(ys, lists)) for ys in words
     ]
     assert counts >> len(words) * width == 0
+
+
+def group_counters(words, n, q, xs, step, groups, longest):
+    """Every group's per-lane counters, run `groups` starts at a time.
+
+    Returns {start: [lane counters after t symbols, t = 0..longest]}
+    for every start 0, step, 2*step, ... below len(xs) + 2*step, read
+    from recurrences over the gram keys of xs, as the concat scan runs
+    them.
+    """
+    table = _packed_match_table(words, n)
+    width, G = _lane_width(n), len(words) * _lane_width(n)
+    grams = _gram_table(table, groups, G)
+    starts = range(0, len(xs) + 2 * step, step)
+    keys = _gram_keys(xs, q, step, groups, starts.stop + longest)
+    _fill_grams(grams, table, keys, G)
+    out = {}
+    for h, phi in enumerate(starts[::groups]):
+        row = list(_lcs_steps(keys[phi : phi + longest], grams))
+        assert len(row) == longest + 1
+        assert all(counts < 1 << groups * G for counts in row)
+        for s, lanes in enumerate(zip(*(_split_groups([c], groups, G) for c in row))):
+            out[phi + s * step] = [
+                [counts >> k * width & ((1 << width) - 1) for k in range(len(words))]
+                for counts in lanes
+            ]
+    return out
+
+
+@pytest.mark.parametrize("groups", range(1, 9))
+def test_every_gram_group_counts_its_own_start(groups):
+    """Group s of a gram recurrence equals lcs_matrix_ref for start i + s*step.
+
+    At every prefix length t, lane k of group s holds
+    lcs(xs[start:start + t], words[k]), and past the end of xs the
+    counter stays at its last symbol's value; starts at or past the end
+    count 0.  Steps 1 to 3, over q = 3 and words of length 5.
+    """
+    rng = random.Random(groups)
+    q, n = 3, 5
+    for step in (1, 2, 3):
+        words = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(4)]
+        xs = tuple(rng.randrange(q) for _ in range(rng.randrange(8, 24)))
+        longest = rng.randrange(1, 9)
+        counted = group_counters(words, n, q, xs, step, groups, longest)
+        for start, rows in counted.items():
+            content = xs[start : start + longest]
+            refs = [lcs_matrix_ref(content, ys) for ys in words]
+            for t, lanes in enumerate(rows):
+                expected = [ref[min(t, len(content))][n] for ref in refs]
+                assert lanes == expected, (step, start, t)
+
+
+def test_gram_helpers_lay_out_groups_side_by_side():
+    """Repeats, splits and gram keys on a hand-checked case."""
+    assert _repeat_groups(0b101, 3, 4) == 0b0101_0101_0101
+    assert _split_groups([0b0110_0000_1111, 0], 3, 4) == [0b1111, 0, 0b0110, 0, 0, 0]
+    # Grams of (0, 1, 2) at step 1 over q = 3: the sentinel 3 past the end.
+    assert _gram_keys((0, 1, 2), 3, 1, 2, 4) == [(0, 1), (1, 2), (2, 3), (3, 3)]
+    assert _gram_keys((0, 1, 2), 3, 2, 2, 2) == [(0, 2), (1, 3)]
+    table = _packed_match_table([(0, 1)], 2)
+    grams = _gram_table(table, 2, 3)
+    _fill_grams(grams, table, [(0, 1), (1, 3), (2, 2), (3, 3)], 3)
+    # Symbol 0 sits at bit 0, symbol 1 at bit 1; group 1 starts at bit 3.
+    assert grams[0] == {(0, 1): 0b010_001, (1, 3): 0b010}
+    assert grams[1:] == (0b011_011, 0b001_001, 2)
 
 
 def test_power_exceeds_matches_the_built_power():
