@@ -26,7 +26,7 @@ The decoder computes each invariant at the level where it stops
 changing: one LCS match table over every inner-domain word, each word
 in its own lane of a big integer, its S-gram table, filled lazily by
 decodes, and every block position's inner-word symbol tuples, once per
-ConcatParams; the outer code's codebook and its
+ConcatParams; the outer code's lexicographic codebook and its
 packed bit planes once per RSCode.  Each listed word is built once per
 ConcatParams: a word missing from the params' memo is built in one
 batch from the block symbol tuples, without re-validating symbols that
@@ -68,7 +68,7 @@ from .codes import Seed, sample_word_sequence
 from .core import BoundViolationError, CapacityError, DomainError, InsdelError, RegimeWarning, Word
 from .core import FractionLike, _LaneTable, _fill_grams, _flagged_lanes, _frac, _gram_keys
 from .core import _gram_table, _lane_budget, _lane_gate, _lane_width, _lcs_steps, _pack_lanes
-from .core import _packed_match_table, _repeat_groups, _split_groups, insdel_distance
+from .core import _packed_match_table, _repeat_groups, _split_groups, _whole, insdel_distance
 from .decode import RSCode, _check_recovery_size, brute_force_list_recover, rs_encode
 
 # make_concat_params refuses an inner encoder of more symbols than this
@@ -374,7 +374,12 @@ class ConcatParams:
         symbol order of the concatenated words.  memo maps an outer
         codeword to (key, concatenated word); the decoder fills it with
         recovered codebook members only, so it never holds more than
-        p**K entries.  Built on first use, then shared by every decode.
+        p**K entries.  Its keys are the recovered codeword tuples
+        themselves, so an entry costs its key int, pair, word and dict
+        slot: with the N * p digits counted as entries too, both hold at
+        most (p**K + N * p) * (8 * n * N + N * p.bit_length() // 7 + 320)
+        bytes on a 64-bit CPython.  Built on first use, then shared by
+        every decode.
         """
         p, N = self.outer.p, self.N
         digits = []
@@ -415,9 +420,11 @@ class ConcatDecodeReport:
     inner_match_total: int
     max_inner_list: int
     list_mass: int
-    # Scan statistics, kept out of the printed and compared report.
+    # Scan and listing statistics, kept out of the printed and compared
+    # report.  listed_word_misses counts the words this decode built.
     scan_recurrences: int = field(repr=False, compare=False)
     starts_per_recurrence: int = field(repr=False, compare=False)
+    listed_word_misses: int = field(repr=False, compare=False)
 
 
 def make_concat_params(
@@ -742,11 +749,14 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
     # Each listed word is built once per params; the list is ordered by
     # its unique int key, which orders it by symbols.
     digits, memo = params.listed_words
-    misses = [cw for cw in outer_hits if cw not in memo]
-    if misses:
+    entries = list(map(memo.get, outer_hits))
+    misses = []
+    if None in entries:
+        misses = [cw for cw, entry in zip(outer_hits, entries) if entry is None]
         for cw, word in zip(misses, _concat_words(params, misses)):
             memo[cw] = (sum(map(tuple.__getitem__, digits, cw)), word)
-    entries = sorted(map(memo.__getitem__, outer_hits), key=itemgetter(0))
+        entries = list(map(memo.__getitem__, outer_hits))
+    entries.sort(key=itemgetter(0))
     return ConcatDecodeReport(
         codewords=tuple([word for _, word in entries]),
         outer_codewords=tuple(outer_hits),
@@ -757,6 +767,7 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
         list_mass=mass,
         scan_recurrences=len(heads),
         starts_per_recurrence=S,
+        listed_word_misses=len(misses),
     )
 
 
@@ -841,14 +852,23 @@ def params_to_json_dict(params: ConcatParams) -> dict:
 
 
 def params_from_json_dict(data: dict) -> ConcatParams:
-    """Rebuild params from a JSON record, resampling the inner encoder."""
+    """Rebuild params from a JSON record, resampling the inner encoder.
+
+    Integer fields and evaluation points must be JSON integers: 8.5,
+    8.0, "8" and true raise DomainError (see core._whole), as does any
+    other malformed field.
+    """
+
+    def whole(name: str) -> int:
+        return _whole(data[name], f"parameter record has a malformed field: {name}")
+
     try:
         return make_concat_params(
-            N=int(data["N"]),
-            n=int(data["n"]),
-            q=int(data["q"]),
-            p=int(data["p"]),
-            K=int(data["K"]),
+            N=whole("N"),
+            n=whole("n"),
+            q=whole("q"),
+            p=whole("p"),
+            K=whole("K"),
             eps_cont=data["eps_cont"],
             eps_in=data["eps_in"],
             eps_out=data["eps_out"],
@@ -856,8 +876,8 @@ def params_from_json_dict(data: dict) -> ConcatParams:
             tau_in=data["tau_in"],
             tau_star=data["tau_star"],
             alpha_out=data["alpha_out"],
-            ell_out=int(data["ell_out"]),
-            inner_seed=int(data["inner_seed"]),
+            ell_out=whole("ell_out"),
+            inner_seed=whole("inner_seed"),
             points=data.get("points"),
         )
     except InsdelError:

@@ -81,6 +81,20 @@ def _frac(value: FractionLike, name: str) -> Fraction:
         raise DomainError(f"{name} is not a valid rational: {value!r}") from exc
 
 
+def _whole(value: object, name: str) -> int:
+    """value as an int, through operator.index; a bool or non-integer raises DomainError.
+
+    Refuses 1.9 and 1.0 where int() would truncate or pass them, and
+    True where it would read 1.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 def _power_exceeds(base: int, exponent: int, limit: int) -> bool:
     """Whether base**exponent > limit (base >= 2), never building more than limit * base."""
     value = 1
@@ -186,6 +200,10 @@ def iter_words(q: int, length: int) -> Iterator[Word]:
     if length < 0:
         raise DomainError(f"word length must be nonnegative, got {length}")
     return (Word(syms, q) for syms in itertools.product(range(q), repeat=length))
+
+
+# Maps the digits b"0" and b"1" to the bytes 0 and 1, false and true.
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 def _lane_width(n: int) -> int:
@@ -332,16 +350,23 @@ def _lane_gate(table: _LaneTable | _PlaneTable, budgets: Sequence[int]) -> tuple
 
 
 def _flagged_lanes(flags: int, width: int) -> Iterator[int]:
-    """Lane numbers, ascending, of the set bits of flags (one per lane).
+    """Lane numbers, ascending, of the lanes whose gate bit (width - 1) is set.
 
-    One pass over the binary string, lowest bit first, so the cost is
-    linear in the size of flags however many lanes are flagged.
+    flags is a lane gate's output, (counts + addend) & top, so no other
+    bit is set.  Its lowest set bit is the gate bit of the first flagged
+    lane; shifted down to it, the gate bit of lane first + k sits at bit
+    k * width, so the binary string read from its last character back
+    at stride width holds the gate bits from the first flagged lane to
+    the last, in lane order, and one compress over it keeps the set
+    ones.  The cost is linear in the bits between the first and the
+    last flagged lane, and no Python step runs per lane.
     """
-    bits = format(flags, "b")[::-1]
-    at = bits.find("1")
-    while at >= 0:
-        yield at // width
-        at = bits.find("1", at + 1)
+    low = max((flags & -flags).bit_length() - 1, 0)
+    gates = format(flags >> low, "b")[::-width]
+    first = low // width
+    return itertools.compress(
+        range(first, first + len(gates)), gates.encode().translate(_BIT_BYTES)
+    )
 
 
 def _lcs_steps(xs: tuple[int, ...], table: _LaneTable) -> Iterator[int]:

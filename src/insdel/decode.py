@@ -4,9 +4,13 @@ Everything here is exact.  List decoding and certification check every
 codeword, certification on a packed LCS table with one lane per
 codeword.  The outer code is a plain Reed-Solomon evaluation code over
 a prime field whose list recovery tests every codeword at once: its
-codebook is packed once into bit planes, one lane per codeword, and a
-recovery counts every lane's agreements with the position lists in a
-few big-integer operations per listed symbol.  That stands in,
+codebook, in lexicographic order, is packed once into bit planes, one
+lane per codeword, and a recovery counts every lane's agreements with
+the position lists in a few big-integer operations per listed symbol.
+The flagged lanes then name the recovered codewords in sorted order.
+The lexicographic codebook is built over the systematic generator (the
+Lagrange basis of the first K points), because any K symbols fix a
+codeword; the message-order codebook stays as a reference.  That stands in,
 interface-compatibly, for the fast list-recoverable codes the
 concatenated construction assumes, whose algebraic decoding internals
 are out of scope at desk scale.
@@ -19,14 +23,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .bounds import _fixed_split_rate, large_q_list_size
 from .codes import Code, Seed, _is_prime, philox_generator, sample_random_code
 from .core import CapacityError, DomainError, FractionLike, Word, _PlaneTable, _flagged_lanes
 from .core import _frac, _lane_agreements, _lane_budget, _lane_gate, _lane_width, _lcs_steps
 from .core import _packed_match_table, _packed_plane_table, _power_exceeds, format_word
-from .core import insdel_distance
+from .core import _whole, insdel_distance
 
 _CERTIFY_CENTER_LIMIT = 10 ** 7
 _RECOVER_SPAN_LIMIT = 10 ** 6
@@ -73,7 +77,11 @@ class RSCode:
     points: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(int(x) for x in self.points))
+        object.__setattr__(self, "p", _whole(self.p, "field order"))
+        object.__setattr__(self, "k", _whole(self.k, "dimension K"))
+        object.__setattr__(
+            self, "points", tuple([_whole(x, "evaluation point") for x in self.points])
+        )
         if not _is_prime(self.p):
             raise DomainError(f"field order {self.p} is not prime")
         if len(set(self.points)) != len(self.points):
@@ -89,38 +97,77 @@ class RSCode:
     def n(self) -> int:
         return len(self.points)
 
-    @cached_property
-    def codebook(self) -> tuple[tuple[int, ...], ...]:
-        """Every codeword, in itertools.product message order; built on first use.
+    def _codewords(self, generator: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+        """The codeword of every message m, in itertools.product message order.
 
-        Built by linearity: symbol j of the codeword of message m is
-        sum(m[i] * x_j**i) mod p, so position j's column over all
-        messages grows one message symbol at a time, each step adding
-        that symbol's p multiples of x_j**i to every entry so far, and
-        the columns are zipped into codewords.  Raises CapacityError,
-        before building anything, past the recovery limits
-        (_check_recovery_size).
+        generator yields, per position j, the values g_j with symbol j
+        of m's codeword sum(m[i] * g_j[i]) mod p.  Built by linearity:
+        position j's column over all messages grows one message symbol
+        at a time, each step adding that symbol's p multiples of g_j[i]
+        to every entry so far, and the columns are zipped into
+        codewords.  Raises CapacityError past the recovery limits
+        (_check_recovery_size) before it draws anything from generator.
         """
         _check_recovery_size(self.p, self.k, self.n)
         p = self.p
         columns = []
-        for x in self.points:
-            column, power = [0], 1
-            for _ in range(self.k):
-                terms = [m * power % p for m in range(p)]
+        for values in generator:
+            column = [0]
+            for g in values:
+                terms = [m * g % p for m in range(p)]
                 column = [(c + t) % p for c in column for t in terms]
-                power = power * x % p
             columns.append(column)
         return tuple(zip(*columns))
 
     @cached_property
-    def codebook_planes(self) -> _PlaneTable:
-        """The codebook as packed bit planes, codebook[k] in lane k; built on first use.
+    def codebook(self) -> tuple[tuple[int, ...], ...]:
+        """Every codeword, in itertools.product message order; built on first use.
 
-        About log2(p) * p**K * (N + 1) bits, well under the codebook's
-        tuples.  Raises CapacityError as codebook does.
+        Symbol j of the codeword of message m is sum(m[i] * x_j**i) mod
+        p, built by _codewords over the monomials.  Raises CapacityError,
+        before building anything, past the recovery limits.  Holds p**K
+        tuples of N ints: at most p**K * (48 + 36 * N) + 40 bytes on a
+        64-bit CPython, and p**K * (48 + 8 * N) + 40 when p <= 257, as
+        every symbol is then a shared small int.
         """
-        return _packed_plane_table(self.codebook, self.n, self.p)
+        p, k = self.p, self.k
+        return self._codewords([pow(x, i, p) for i in range(k)] for x in self.points)
+
+    @cached_property
+    def sorted_codebook(self) -> tuple[tuple[int, ...], ...]:
+        """Every codeword, in lexicographic order; built on first use.
+
+        Any K symbols fix a codeword, so lexicographic order is the
+        product order of the first K symbols.  Built by _codewords over
+        the Lagrange basis L_0..L_{K-1} of the first K points (the
+        systematic generator): symbol j of the codeword whose first K
+        symbols are m is sum(m[i] * L_i(x_j)) mod p, so entry k holds
+        the codeword whose first K symbols are k's base-p digits.
+        Raises CapacityError, and holds as many bytes, as codebook does.
+        """
+        p, firsts = self.p, self.points[: self.k]
+
+        def basis_values() -> Iterator[list[int]]:
+            # A generator, so _codewords runs its size check before any of this.
+            weights = [pow(math.prod(a - b for b in firsts if b != a), -1, p) for a in firsts]
+            for x in self.points:
+                yield [
+                    math.prod(x - b for b in firsts if b != a) * w % p
+                    for a, w in zip(firsts, weights)
+                ]
+
+        return self._codewords(basis_values())
+
+    @cached_property
+    def codebook_planes(self) -> _PlaneTable:
+        """sorted_codebook as packed bit planes, entry k in lane k; built on first use.
+
+        (p - 1).bit_length() planes and the lane-ones int, each of
+        p**K * (N + 1) bits, are at most ((p - 1).bit_length() + 1) *
+        (p**K * (N + 1) // 7 + 64) + 120 bytes, well under the tuples.
+        Raises CapacityError as sorted_codebook does.
+        """
+        return _packed_plane_table(self.sorted_codebook, self.n, self.p)
 
 
 def brute_force_list_decode(c: Code, r: Word, radius: int) -> DecodeResult:
@@ -309,8 +356,10 @@ def brute_force_list_recover(
     Every one of the p**K codewords is tested at once on the code's
     packed bit planes (RSCode.codebook_planes): one count of each
     lane's agreements with the lists, one lane gate, and the flagged
-    lanes looked up in the codebook.  Exact and deterministic, with
-    output sorted lexicographically.  alpha is taken as an exact
+    lanes looked up in RSCode.sorted_codebook.  Lane k holds entry k,
+    so the output comes out sorted lexicographically, with no sort.
+    Exact and deterministic.  Every list symbol must be an int (see
+    core._whole) in the field.  alpha is taken as an exact
     rational, so a codeword is kept when it agrees on at least
     ceil(alpha*N) positions.  When ell is given, the total list mass
     sum(|A_i|) is checked against it up front, before the codebook is
@@ -322,7 +371,7 @@ def brute_force_list_recover(
     if len(lists) != code.n:
         raise DomainError(f"got {len(lists)} position lists for N={code.n}")
     for i, entries in enumerate(lists):
-        if any(not 0 <= s < code.p for s in entries):
+        if any(not 0 <= _whole(s, "a position list symbol") < code.p for s in entries):
             raise DomainError(f"position list {i} holds symbols outside the field")
     mass = sum(len(entries) for entries in lists)
     if ell is not None and mass > ell:
@@ -331,7 +380,4 @@ def brute_force_list_recover(
     threshold = math.ceil(exact * code.n)
     (addend,), top = _lane_gate(table, [code.n - threshold])
     flags = (_lane_agreements(table, lists) + addend) & top
-    codebook = code.codebook
-    out = [codebook[k] for k in _flagged_lanes(flags, _lane_width(code.n))]
-    out.sort()
-    return out
+    return list(map(code.sorted_codebook.__getitem__, _flagged_lanes(flags, _lane_width(code.n))))

@@ -307,9 +307,11 @@ def test_usage_errors_exit_2():
 CERTIFY = ("certify", "--code-file", "{file}", "--tau-n", "1", "-L", "2")
 BLOCK_CHANNEL = ("channel", "-q", "2", "--word", "0110", "--block-len", "2", "--seed")
 CODE_N7 = json.dumps({"q": 2, "n": 7, "words": ["0000000", "0101101", "1011010", "1111111"]})
+DESK_RECORD = {k: str(v) if isinstance(v, Fraction) else v for k, v in DESK.items()}
 # DESK with n = 4540: 99,880 inner symbols, just under the encoder limit,
 # and a window scan of about 5 * 10^10 lane bits.
-DESK_N4540 = json.dumps({k: str(v) if isinstance(v, Fraction) else v for k, v in {**DESK, "n": 4540}.items()})
+DESK_N4540 = json.dumps({**DESK_RECORD, "n": 4540})
+ROUNDTRIP = ("concat-roundtrip", "--params", "{file}", "--seed", "1", "--budget", "3")
 
 
 @pytest.mark.parametrize(
@@ -363,10 +365,15 @@ DESK_N4540 = json.dumps({k: str(v) if isinstance(v, Fraction) else v for k, v in
             ("sample", "-q", "2", "-n", "1000000000", "-k", "0", "--linear", "--seed", "1"), None, 4,
             id="linear-huge-length",
         ),
+        pytest.param(ROUNDTRIP, DESK_N4540, 4, id="concat-roundtrip-huge-scan"),
+        # Integer fields that int() would truncate or pass.
         pytest.param(
-            ("concat-roundtrip", "--params", "{file}", "--seed", "1", "--budget", "3"), DESK_N4540, 4,
-            id="concat-roundtrip-huge-scan",
+            ROUNDTRIP, json.dumps({**DESK_RECORD, "points": [0, 1.5, 2, 3, 4, 5, 6, 7]}), 3,
+            id="concat-roundtrip-fractional-point",
         ),
+        pytest.param(ROUNDTRIP, json.dumps({**DESK_RECORD, "N": 8.5}), 3, id="concat-roundtrip-fractional-N"),
+        pytest.param(ROUNDTRIP, json.dumps({**DESK_RECORD, "K": 3.0}), 3, id="concat-roundtrip-float-K"),
+        pytest.param(ROUNDTRIP, json.dumps({**DESK_RECORD, "ell_out": True}), 3, id="concat-roundtrip-bool-ell"),
         # A 40-symbol ternary center: the deletion BFS passes through levels of millions of words.
         pytest.param(
             ("sphere", "-q", "3", "--center", "012" * 13 + "0", "--radius", "20", "--kind", "deletion"),

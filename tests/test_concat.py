@@ -1,6 +1,7 @@
 """The indexed concatenation pipeline, end to end at desk scale."""
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
@@ -513,20 +514,66 @@ def test_listed_words_are_the_encoded_outer_codewords_in_symbol_order(instance):
 
 
 def test_a_repeated_decode_builds_no_word(monkeypatch):
+    """The first DESK decode builds all 1331 listed words, a repeat none.
+
+    listed_word_misses counts them and stays out of equality.  Recovery
+    reads the lexicographic codebook, so no decode builds the
+    message-order one.
+    """
     params = fresh_params(DESK)
     _, received = full_budget_channel(params, 0)
     assert params.listed_words[1] == {}
     first = list_decode_concat_detailed(params, received)
     assert len(params.listed_words[1]) == len(first.codewords) == 1331
+    assert first.listed_word_misses == 1331
 
     def no_build(*args):
         raise AssertionError("a memo hit built a word")
 
     monkeypatch.setattr(concat, "_concat_words", no_build)
     second = list_decode_concat_detailed(params, received)
+    assert second.listed_word_misses == 0
     assert second == first
     assert repr(second) == repr(first)
     assert all(a is b for a, b in zip(second.codewords, first.codewords))
+    assert "sorted_codebook" in params.outer.__dict__
+    assert "codebook" not in params.outer.__dict__
+
+
+def test_desk_recovery_table_planes_and_full_memo_stay_under_their_byte_bounds():
+    """Each cache a DESK decode fills frees no more than its docstring's bound.
+
+    DESK lists all p**K codewords, so one decode fills the memo.  A full
+    gc empties the tuple free lists, so it runs before tracing starts,
+    or the caches could reuse untraced tuples, and before each reading,
+    or dropped tuples would stay counted.  Each cache must free over
+    half its bound, so the reading saw it.
+    """
+    params = fresh_params(DESK)
+    N, n, p, K = params.N, params.n, params.outer.p, params.outer.k
+    _, received = full_budget_channel(params, 0)
+    bounds = {
+        "listed_words": (p ** K + N * p) * (8 * n * N + N * p.bit_length() // 7 + 320),
+        "codebook_planes": ((p - 1).bit_length() + 1) * (p ** K * (N + 1) // 7 + 64) + 120,
+        "sorted_codebook": p ** K * (48 + 8 * N) + 40,
+    }
+    freed = {}
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert len(list_decode_concat_detailed(params, received).codewords) == p ** K
+        # The memo's keys are the table's tuples, so the memo goes first.
+        for name in bounds:
+            owner = params if name == "listed_words" else params.outer
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            del owner.__dict__[name]
+            gc.collect()
+            freed[name] = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    for name, bound in bounds.items():
+        assert bound // 2 < freed[name] <= bound, (name, freed[name], bound)
 
 
 @pytest.mark.parametrize("instance", [DESK, SHARP], ids=["desk", "sharp"])

@@ -241,13 +241,17 @@ def test_packed_match_table_equals_the_or_loop(case):
 
 
 def lane_flag_cases(lanes, width, rng):
-    """Flags 0, each single lane's bit, every lane, and random bits."""
+    """Gate flags, which set no bit of a lane but bit width - 1.
+
+    No lane, every lane, each lane alone (the top lane among them) and
+    random subsets of lanes.
+    """
+    gates = [1 << k * width + width - 1 for k in range(lanes)]
     yield 0
-    for k in range(lanes):
-        yield 1 << k * width + rng.randrange(width)
-    yield sum(1 << k * width + width - 1 for k in range(lanes))
+    yield sum(gates)
+    yield from gates
     for _ in range(5):
-        yield rng.getrandbits(lanes * width)
+        yield sum(gate for gate in gates if rng.getrandbits(1))
 
 
 def test_flagged_lanes_and_pack_lanes_equal_reference_loops():

@@ -5,12 +5,13 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from insdel import decode
 from insdel.codes import Code, philox_generator, sample_random_code
-from insdel.core import CapacityError, DomainError, insdel_distance, iter_words, word
+from insdel.core import CapacityError, DomainError, _flagged_lanes, _lane_agreements, _lane_gate
+from insdel.core import _lane_width, insdel_distance, iter_words, word
 from insdel.decode import (
     RSCode,
     _draw_below,
@@ -252,6 +253,17 @@ def test_rs_code_validation():
     assert RSCode(p=5, k=2, points=(0, 1, 2, 3)).n == 4
 
 
+@pytest.mark.parametrize(
+    "p, k, points",
+    [(11, 3, [0, 1.9, 2, 3]), (11, 3, [0, 1.0, 2, 3]), (11, 3, [0, True, 2, 3]),
+     (11.0, 3, [0, 1, 2, 3]), (11, 3.0, [0, 1, 2, 3]), (11, True, [0, 1, 2, 3]),
+     (11, 3, ["0", 1, 2, 3])],
+)
+def test_rs_code_fields_are_integers_not_truncated(p, k, points):
+    with pytest.raises(DomainError, match="must be an integer, got"):
+        RSCode(p=p, k=k, points=points)
+
+
 def test_rs_encode_known_values():
     code = RSCode(p=5, k=2, points=(0, 1, 2, 3))
     assert rs_encode(code, (1, 1)) == (1, 2, 3, 4)
@@ -377,6 +389,35 @@ def recovery_cases(draw):
     return RSCode(p=p, k=k, points=points), lists, alpha
 
 
+@st.composite
+def rs_codes(draw):
+    """An RS code over a small field, with shuffled points and any K from 1 to N."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    points = draw(st.permutations(range(p)))[: draw(st.integers(1, p))]
+    k = draw(st.integers(1, len(points)))
+    assume(p ** k * len(points) <= 20_000)
+    return RSCode(p=p, k=k, points=points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rs_codes())
+def test_sorted_codebook_is_the_sorted_codebook_lane_by_lane(code):
+    """Entry k of sorted_codebook is the k-th smallest codeword and sits in lane k.
+
+    With a singleton list per position holding entry k's symbols, lane k
+    of codebook_planes, and no other lane, agrees on all N positions.
+    About 50 lanes are checked per code, the first and the last among them.
+    """
+    table = code.sorted_codebook
+    assert table == tuple(sorted(code.codebook))
+    assert table is code.sorted_codebook
+    planes = code.codebook_planes
+    (addend,), top = _lane_gate(planes, [0])
+    for k in {*range(0, len(table), max(1, len(table) // 50)), len(table) - 1}:
+        counts = _lane_agreements(planes, [frozenset({s}) for s in table[k]])
+        assert list(_flagged_lanes((counts + addend) & top, _lane_width(code.n))) == [k]
+
+
 @settings(max_examples=150, deadline=None)
 @given(recovery_cases())
 def test_list_recover_matches_message_by_message_evaluation(case):
@@ -414,6 +455,10 @@ def test_list_recover_threshold_is_exact():
 
 def test_list_recover_validation():
     code = RSCode(p=5, k=2, points=(0, 1, 2, 3))
+    for symbol in (1.0, True, 1.5, "1"):
+        lists = [frozenset({symbol})] + [frozenset()] * 3
+        with pytest.raises(DomainError, match="a position list symbol must be an integer"):
+            brute_force_list_recover(code, lists, alpha=0.5)
     with pytest.raises(DomainError):
         brute_force_list_recover(code, [frozenset()] * 4, alpha=1.5)
     with pytest.raises(DomainError):
