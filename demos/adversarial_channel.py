@@ -1,9 +1,9 @@
 """Seeded synchronization channels: scripts, replay, block budgets."""
 
 from insdel.channel import adversarial_block_channel, apply_script, random_channel
-from insdel.core import insdel_distance, word
+from insdel.core import insdel_distance, parse_word
 
-sent = word("0110100110", 2)
+sent = parse_word("0110100110", 2)
 
 # A free-position channel with separate insertion and deletion budgets.
 out, script = random_channel(sent, n_ins=2, n_del=3, seed=5)

@@ -5,7 +5,7 @@ lengths.  Deletion spheres depend on the center's run count, and only
 a sandwich is available; this script shows both ends being touched.
 """
 
-from insdel.core import count_runs, word
+from insdel.core import count_runs, parse_word
 from insdel.spheres import (
     deletion_sphere_bounds,
     enumerate_deletion_sphere,
@@ -13,7 +13,7 @@ from insdel.spheres import (
     insertion_sphere_size,
 )
 
-center = word("0101", 2)
+center = parse_word("0101", 2)
 for n2 in range(4):
     sphere = enumerate_insertion_sphere(center, n2)
     formula = insertion_sphere_size(len(center), n2, 2)
@@ -22,8 +22,8 @@ for n2 in range(4):
 print()
 
 # Same number of runs, opposite extremes of the deletion sandwich.
-alternating = word("0101", 2)     # runs of length 1: fewest subsequences
-blocky = word("00110011", 2)      # runs of length 2: most subsequences
+alternating = parse_word("0101", 2)  # runs of length 1: fewest subsequences
+blocky = parse_word("00110011", 2)  # runs of length 2: most subsequences
 for c in (alternating, blocky):
     phi = count_runs(c)
     lo, hi = deletion_sphere_bounds(phi, 2)

@@ -521,18 +521,30 @@ def _tau_rate_table(q: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(taus), tuple(vals)
 
 
+def _bracket(vals: tuple[float, ...], target: float) -> int | None:
+    """The first i with vals[i] >= target >= vals[i + 1], or None.
+
+    A linear scan, not bisect: the table falls overall but may rise by
+    up to 1e-9 between neighbouring knots.
+    """
+    for i in range(len(vals) - 1):
+        if vals[i] >= target >= vals[i + 1]:
+            return i
+    return None
+
+
 def _f_inverse_interp(q: int, target: float) -> float | None:
     """Linear-interpolation inverse of the tau -> rate table; None if out of range."""
     taus, vals = _tau_rate_table(q)
     if not taus or target > vals[0] or target < vals[-1]:
         return None
-    for i in range(len(vals) - 1):
-        if vals[i] >= target >= vals[i + 1]:
-            if vals[i] == vals[i + 1]:
-                return taus[i]
-            frac = (vals[i] - target) / (vals[i] - vals[i + 1])
-            return taus[i] + frac * (taus[i + 1] - taus[i])
-    return taus[-1]
+    i = _bracket(vals, target)
+    if i is None:
+        return taus[-1]
+    if vals[i] == vals[i + 1]:
+        return taus[i]
+    frac = (vals[i] - target) / (vals[i] - vals[i + 1])
+    return taus[i] + frac * (taus[i + 1] - taus[i])
 
 
 def _f_inverse_refined(q: int, target: float) -> float:
@@ -540,11 +552,8 @@ def _f_inverse_refined(q: int, target: float) -> float:
     taus, vals = _tau_rate_table(q)
     if not taus or target > vals[0] or target < vals[-1]:
         raise DomainError(f"rate {target} outside the invertible range for q={q}")
-    lo, hi = taus[0], taus[-1]
-    for i in range(len(vals) - 1):
-        if vals[i] >= target >= vals[i + 1]:
-            lo, hi = taus[i], taus[i + 1]
-            break
+    i = _bracket(vals, target)
+    lo, hi = (taus[0], taus[-1]) if i is None else (taus[i], taus[i + 1])
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         raw, _, _ = _segment_min(q, mid, 0.0, _TABLE_SEGMENT_GRID)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from .codes import Seed, check_seed, philox_generator
-from .core import CapacityError, DomainError, ScriptError, Word
+from .core import CapacityError, DomainError, ScriptError, Word, _whole
 
 if TYPE_CHECKING:
     import numpy as np
@@ -64,12 +64,14 @@ class EditScript:
 
     @classmethod
     def from_json_list(cls, items: Iterable[dict]) -> "EditScript":
+        """Read to_json_list's records; a position or symbol must be an integer (core._whole)."""
         ops = []
         for item in items:
             if item.get("op") == DELETE:
-                ops.append((DELETE, int(item["pos"])))
+                ops.append((DELETE, _whole(item["pos"], "an edit position")))
             elif item.get("op") == INSERT:
-                ops.append((INSERT, int(item["pos"]), int(item["sym"])))
+                pos = _whole(item["pos"], "an edit position")
+                ops.append((INSERT, pos, _whole(item["sym"], "an inserted symbol")))
             else:
                 raise ScriptError(f"malformed operation record {item!r}")
         return cls(tuple(ops))

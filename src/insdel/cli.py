@@ -55,6 +55,7 @@ from .core import (
     InsdelError,
     RegimeWarning,
     Word,
+    _whole,
     format_word,
     insdel_distance,
     parse_word,
@@ -275,8 +276,8 @@ def _load_json_object(path: str) -> dict:
 def _load_code(path: str) -> Code:
     data = _load_json_object(path)
     try:
-        q = int(data["q"])
-        n = int(data["n"])
+        q = _whole(data["q"], "code file has a malformed field: q")
+        n = _whole(data["n"], "code file has a malformed field: n")
         words = frozenset(parse_word(s, q) for s in data["words"])
     except InsdelError:
         raise

@@ -13,7 +13,7 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .core import (
     CapacityError,
@@ -186,6 +186,27 @@ def _rank_mod_p(rows: list[list[int]], p: int) -> int:
     return rank
 
 
+def _linear_span(p: int, n: int, rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Every codeword of the span of rows over F_p, in itertools.product message order.
+
+    Each of the k rows holds n values; symbol j of message m's codeword
+    is sum(m[i] * rows[i][j]) mod p.  Built by linearity: position j's
+    column over all messages grows one message symbol at a time, each
+    step adding that symbol's p multiples of rows[i][j] to every entry
+    so far, and the columns are zipped into codewords.  At k = 0 that
+    is the single word 0^n, and at n = 0 every message has the empty
+    codeword.  The caller bounds p**k * n first.
+    """
+    columns = []
+    for j in range(n):
+        column = [0]
+        for row in rows:
+            terms = [m * row[j] % p for m in range(p)]
+            column = [(c + t) % p for c in column for t in terms]
+        columns.append(column)
+    return tuple(zip(*columns)) if n else ((),) * p ** len(rows)
+
+
 def sample_random_linear_code(q: int, n: int, k: int, seed: Seed) -> LinearCode:
     """Sample k independent generators over F_q and return their span.
 
@@ -209,15 +230,9 @@ def sample_random_linear_code(q: int, n: int, k: int, seed: Seed) -> LinearCode:
         matrix = [[int(v) for v in rng.integers(0, q, size=n)] for _ in range(k)]
         if k == 0 or _rank_mod_p([row[:] for row in matrix], q) == k:
             break
-    span: set[Word] = set()
-    for coeffs in itertools.product(range(q), repeat=k):
-        syms = [0] * n
-        for c, row in zip(coeffs, matrix):
-            if c:
-                syms = [(s + c * v) % q for s, v in zip(syms, row)]
-        span.add(Word(tuple(syms), q))
+    span = frozenset(Word(syms, q) for syms in _linear_span(q, n, matrix))
     generators = tuple(Word(tuple(row), q) for row in matrix)
-    return LinearCode(q=q, n=n, words=frozenset(span), generators=generators)
+    return LinearCode(q=q, n=n, words=span, generators=generators)
 
 
 def greedy_gv_code(q: int, n: int, d: int) -> Code:

@@ -24,14 +24,15 @@ representation.
 
 The decoder computes each invariant at the level where it stops
 changing: one LCS match table over every inner-domain word, each word
-in its own lane of a big integer, its S-gram table, filled lazily by
-decodes, and every block position's inner-word symbol tuples, once per
-ConcatParams; the outer code's lexicographic codebook and its
-packed bit planes once per RSCode.  Each listed word is built once per
-ConcatParams: a word missing from the params' memo is built in one
-batch from the block symbol tuples, without re-validating symbols that
-come from already-validated inner words, and stored with an int key
-whose order is the words' symbol order, so the list is sorted by key.
+in its own lane of a big integer, its S-gram table holding every
+S-gram a received word can have, and every block position's
+inner-word symbol tuples, once per ConcatParams; the outer code's
+lexicographic codebook and its packed bit planes once per RSCode.
+Each listed word is built once per ConcatParams: a word missing from
+the params' memo is built in one batch from the block symbol tuples,
+without re-validating symbols that come from already-validated inner
+words, and stored with an int key whose order is the words' symbol
+order, so the list is sorted by key.
 The scan walks the grid's (lam, mu) ranges directly, after checking its
 work (starts * longest window * lane bits) against _SCAN_WORK_LIMIT.
 It runs one bit-parallel LCS recurrence per S consecutive window
@@ -66,7 +67,7 @@ from typing import Sequence
 
 from .codes import Seed, sample_word_sequence
 from .core import BoundViolationError, CapacityError, DomainError, InsdelError, RegimeWarning, Word
-from .core import FractionLike, _LaneTable, _fill_grams, _flagged_lanes, _frac, _gram_keys
+from .core import FractionLike, _LaneTable, _flagged_lanes, _frac, _gram_keys
 from .core import _gram_table, _lane_budget, _lane_gate, _lane_width, _lcs_steps, _pack_lanes
 from .core import _packed_match_table, _repeat_groups, _split_groups, _whole, insdel_distance
 from .decode import RSCode, _check_recovery_size, brute_force_list_recover, rs_encode
@@ -342,12 +343,12 @@ class ConcatParams:
         S is the largest count with (q + 1)**S <= _SCAN_GRAM_LIMIT, and at
         least 1.  The gram table holds S copies of inner_lanes' lanes side
         by side, copy s at bit s * G with G = inner words * (n + 1); its
-        match dict, keyed by the S-gram keys of received words, starts
-        empty and is filled by the decoder, so it holds at most
-        (q + 1)**S entries of S * G bits.  addends[L] is inner_lanes'
-        addend for L in every copy, and tops[g] keeps the gate bits of
-        the first g copies.  Built on the first decode, then shared by
-        every decode.
+        match dict holds the entry of every S-gram key a received word
+        can have (core._gram_table): at most (q**(S + 1) - 1) // (q - 1)
+        - 1 entries of S * G bits, 126 on DESK and 340 on SHARP.
+        addends[L] is inner_lanes' addend for L in every copy, and
+        tops[g] keeps the gate bits of the first g copies.  Built on the
+        first decode, then shared by every decode.
         """
         table, addends, top = self.inner_lanes
         S = 1
@@ -356,7 +357,7 @@ class ConcatParams:
         G = len(self.inner.words) * _lane_width(self.n)
         return (
             S,
-            _gram_table(table, S, G),
+            _gram_table(table, self.q, S, G),
             [_repeat_groups(addend, S, G) for addend in addends],
             [_repeat_groups(top, g, G) for g in range(S + 1)],
         )
@@ -453,8 +454,11 @@ def make_concat_params(
     which CapacityError is raised before sampling.  Once the outer code
     is checked, an outer codebook past the recovery limits (p**K
     codewords, p**K * N symbols) raises CapacityError before the inner
-    encoder is sampled, since no decode could recover from it.
+    encoder is sampled, since no decode could recover from it.  N, n,
+    q, ell_out and inner_seed must be integers (see core._whole).
     """
+    N, n, q = _whole(N, "outer length N"), _whole(n, "inner length n"), _whole(q, "alphabet size q")
+    ell_out, inner_seed = _whole(ell_out, "list budget ell_out"), _whole(inner_seed, "inner_seed")
     if N < 1 or n < 1:
         raise DomainError("outer and inner lengths must be positive")
     if points is None and N > p:
@@ -661,7 +665,7 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
     if work > _SCAN_WORK_LIMIT:
         raise CapacityError(f"a window scan of {work} lane bits exceeds {_SCAN_WORK_LIMIT}")
     E, p = params.eps_cont_N, params.outer.p
-    table, addends, _ = params.inner_lanes
+    addends = params.inner_lanes[1]
     S, grams, group_addends, tops = params.inner_grams
     top = tops[S]
     slots, shared = params.feasible_positions
@@ -675,7 +679,6 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
     # of its clipped content.
     heads = starts[::S]
     keys = _gram_keys(r.symbols, params.q, step, S, starts.stop + longest)
-    _fill_grams(grams, table, keys, lane_bits)
     # A start's windows that reach past the end are gated at its clipped
     # length, min(longest, M - phi): edges[h] holds those addends for the
     # starts of recurrence h, and 0, which flags nothing, for the starts

@@ -117,10 +117,15 @@ class Word:
     q: int
 
     def __post_init__(self) -> None:
-        # From a list, not a generator: tuple(genexpr) reaches its size by
-        # resizing, and a resized small tuple is freed into a CPython
-        # freelist it was never taken from, which only a full GC drains.
-        object.__setattr__(self, "symbols", tuple([int(s) for s in self.symbols]))
+        # operator.index refuses 1.9 and "1", which int() would truncate or
+        # parse.  From a list: tuple(iterator) reaches its size by resizing,
+        # and a resized small tuple is freed into a CPython freelist it was
+        # never taken from, which only a full GC drains.
+        try:
+            symbols = tuple([*map(operator.index, self.symbols)])
+        except TypeError as exc:
+            raise DomainError(f"word symbols must be integers: {exc}") from exc
+        object.__setattr__(self, "symbols", symbols)
         if self.q < 2:
             raise DomainError(f"alphabet size must be at least 2, got {self.q}")
         for s in self.symbols:
@@ -400,18 +405,31 @@ def _repeat_groups(value: int, groups: int, width: int) -> int:
     return value * _pack_lanes([1] * groups, width)
 
 
-def _gram_table(table: _LaneTable, groups: int, width: int) -> _LaneTable:
-    """An empty LCS table for `groups` texts at once against table's words.
+def _gram_table(table: _LaneTable, q: int, groups: int, width: int) -> _LaneTable:
+    """An LCS table for `groups` texts over q symbols at once against table's words.
 
     The multiple-text packing of Hyyrö, Fredriksson & Navarro: group s
     is a copy of table's lanes at bit s*width, width being the table's
-    bit width, and runs against text s.  The match dict, empty here,
-    is keyed by gram keys (:func:`_gram_keys`) and filled by
-    :func:`_fill_grams`; one run of :func:`_lcs_steps` over a key
-    sequence then advances every group's recurrence at once.
+    bit width, and runs against text s.  The match dict is keyed by
+    gram keys (:func:`_gram_keys`), so one run of :func:`_lcs_steps`
+    over a key sequence advances every group's recurrence at once.  A
+    gram's entry holds, in group s, table's match entry of the gram's
+    symbol s; a symbol without one, such as the sentinel q, matches
+    nothing.  Past the end of a text a gram's sentinels form a suffix,
+    so a key is j <= groups symbols below q followed by groups - j
+    sentinels: (q**(groups + 1) - 1) // (q - 1) grams in all.  Every
+    one is built here, and those matching nothing, the all-sentinel
+    gram among them, are not stored.
     """
     match, mask, ones, n = table
-    return {}, _repeat_groups(mask, groups, width), _repeat_groups(ones, groups, width), n
+    grams = {}
+    for j in range(groups + 1):
+        tail = (q,) * (groups - j)
+        for head in itertools.product(range(q), repeat=j):
+            entry = _pack_lanes([match.get(symbol, 0) for symbol in head], width)
+            if entry:
+                grams[head + tail] = entry
+    return grams, _repeat_groups(mask, groups, width), _repeat_groups(ones, groups, width), n
 
 
 def _gram_keys(
@@ -428,24 +446,6 @@ def _gram_keys(
     length = max(0, length)
     padded = tuple(xs) + (q,) * (length + (groups - 1) * step - len(xs))
     return list(zip(*[padded[s * step : s * step + length] for s in range(groups)]))
-
-
-def _fill_grams(
-    grams: _LaneTable, table: _LaneTable, keys: Iterable[tuple[int, ...]], width: int
-) -> None:
-    """Add to grams the match entry of every gram in keys that it lacks.
-
-    A gram's entry holds, in group s, table's match entry of the gram's
-    symbol s; a symbol without one, such as the sentinel, matches
-    nothing.  Entries matching nothing are not stored, so over q
-    symbols and the sentinel the dict holds at most (q + 1)**groups
-    entries of groups*width bits.
-    """
-    match, symbols = grams[0], table[0]
-    for gram in set(keys).difference(match):
-        entry = _pack_lanes([symbols.get(symbol, 0) for symbol in gram], width)
-        if entry:
-            match[gram] = entry
 
 
 def _split_groups(words: Iterable[int], groups: int, width: int) -> list[int]:

@@ -8,12 +8,13 @@ codebook, in lexicographic order, is packed once into bit planes, one
 lane per codeword, and a recovery counts every lane's agreements with
 the position lists in a few big-integer operations per listed symbol.
 The flagged lanes then name the recovered codewords in sorted order.
-The lexicographic codebook is built over the systematic generator (the
-Lagrange basis of the first K points), because any K symbols fix a
-codeword; the message-order codebook stays as a reference.  That stands in,
-interface-compatibly, for the fast list-recoverable codes the
-concatenated construction assumes, whose algebraic decoding internals
-are out of scope at desk scale.
+The lexicographic codebook is the span of the systematic generator
+(the Lagrange basis of the first K points), because any K symbols fix
+a codeword; the column builder a sampled linear code uses
+(codes._linear_span) lists it.  That stands in, interface-compatibly,
+for the fast list-recoverable codes the concatenated construction
+assumes, whose algebraic decoding internals are out of scope at desk
+scale.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .bounds import _fixed_split_rate, large_q_list_size
-from .codes import Code, Seed, _is_prime, philox_generator, sample_random_code
+from .codes import Code, Seed, _is_prime, _linear_span, philox_generator, sample_random_code
 from .core import CapacityError, DomainError, FractionLike, Word, _PlaneTable, _flagged_lanes
 from .core import _frac, _lane_agreements, _lane_budget, _lane_gate, _lane_width, _lcs_steps
 from .core import _packed_match_table, _packed_plane_table, _power_exceeds, format_word
@@ -97,66 +98,30 @@ class RSCode:
     def n(self) -> int:
         return len(self.points)
 
-    def _codewords(self, generator: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-        """The codeword of every message m, in itertools.product message order.
-
-        generator yields, per position j, the values g_j with symbol j
-        of m's codeword sum(m[i] * g_j[i]) mod p.  Built by linearity:
-        position j's column over all messages grows one message symbol
-        at a time, each step adding that symbol's p multiples of g_j[i]
-        to every entry so far, and the columns are zipped into
-        codewords.  Raises CapacityError past the recovery limits
-        (_check_recovery_size) before it draws anything from generator.
-        """
-        _check_recovery_size(self.p, self.k, self.n)
-        p = self.p
-        columns = []
-        for values in generator:
-            column = [0]
-            for g in values:
-                terms = [m * g % p for m in range(p)]
-                column = [(c + t) % p for c in column for t in terms]
-            columns.append(column)
-        return tuple(zip(*columns))
-
-    @cached_property
-    def codebook(self) -> tuple[tuple[int, ...], ...]:
-        """Every codeword, in itertools.product message order; built on first use.
-
-        Symbol j of the codeword of message m is sum(m[i] * x_j**i) mod
-        p, built by _codewords over the monomials.  Raises CapacityError,
-        before building anything, past the recovery limits.  Holds p**K
-        tuples of N ints: at most p**K * (48 + 36 * N) + 40 bytes on a
-        64-bit CPython, and p**K * (48 + 8 * N) + 40 when p <= 257, as
-        every symbol is then a shared small int.
-        """
-        p, k = self.p, self.k
-        return self._codewords([pow(x, i, p) for i in range(k)] for x in self.points)
-
     @cached_property
     def sorted_codebook(self) -> tuple[tuple[int, ...], ...]:
         """Every codeword, in lexicographic order; built on first use.
 
         Any K symbols fix a codeword, so lexicographic order is the
-        product order of the first K symbols.  Built by _codewords over
-        the Lagrange basis L_0..L_{K-1} of the first K points (the
-        systematic generator): symbol j of the codeword whose first K
-        symbols are m is sum(m[i] * L_i(x_j)) mod p, so entry k holds
-        the codeword whose first K symbols are k's base-p digits.
-        Raises CapacityError, and holds as many bytes, as codebook does.
+        product order of the first K symbols.  Built by
+        codes._linear_span over the Lagrange basis L_0..L_{K-1} of the
+        first K points (the systematic generator): symbol j of the
+        codeword whose first K symbols are m is sum(m[i] * L_i(x_j)) mod
+        p, so entry k holds the codeword whose first K symbols are k's
+        base-p digits.  Raises CapacityError, before building anything,
+        past the recovery limits (_check_recovery_size).  Holds p**K
+        tuples of N ints: at most p**K * (48 + 36 * N) + 40 bytes on a
+        64-bit CPython, and p**K * (48 + 8 * N) + 40 when p <= 257, as
+        every symbol is then a shared small int.
         """
+        _check_recovery_size(self.p, self.k, self.n)
         p, firsts = self.p, self.points[: self.k]
-
-        def basis_values() -> Iterator[list[int]]:
-            # A generator, so _codewords runs its size check before any of this.
-            weights = [pow(math.prod(a - b for b in firsts if b != a), -1, p) for a in firsts]
-            for x in self.points:
-                yield [
-                    math.prod(x - b for b in firsts if b != a) * w % p
-                    for a, w in zip(firsts, weights)
-                ]
-
-        return self._codewords(basis_values())
+        weights = [pow(math.prod(a - b for b in firsts if b != a), -1, p) for a in firsts]
+        basis = [
+            [math.prod(x - b for b in firsts if b != a) * w % p for x in self.points]
+            for a, w in zip(firsts, weights)
+        ]
+        return _linear_span(p, self.n, basis)
 
     @cached_property
     def codebook_planes(self) -> _PlaneTable:

@@ -2,10 +2,10 @@
 
 Everything here is written independently of the code under test: the
 LCS reference is a full-matrix dynamic program, the feasibility scan
-walks the per-position gates one at a time, list recovery evaluates
-every message polynomial on its own, and the batched LCS is a
-numpy re-derivation used where exhaustive sweeps would otherwise be too
-slow to run inside a test.
+walks the per-position gates one at a time, list recovery and the
+codebook references evaluate every message on its own, and the
+batched LCS is a numpy re-derivation used where exhaustive sweeps
+would otherwise be too slow to run inside a test.
 """
 
 from __future__ import annotations
@@ -327,6 +327,40 @@ def brute_list_recover(code, lists, alpha) -> list[tuple[int, ...]]:
         if sum(1 for s, allowed in zip(codeword, lists) if s in allowed) >= threshold:
             out.append(codeword)
     return sorted(out)
+
+
+def rs_codebook_ref(code) -> list[tuple[int, ...]]:
+    """Every Reed-Solomon codeword, in itertools.product message order.
+
+    Each message is encoded on its own, one Horner loop per point; no
+    span builder, basis or column is shared between messages.
+    """
+    p = code.p
+    out = []
+    for message in itertools.product(range(p), repeat=code.k):
+        codeword = []
+        for x in code.points:
+            acc = 0
+            for coeff in reversed(message):
+                acc = (acc * x + coeff) % p
+            codeword.append(acc)
+        out.append(tuple(codeword))
+    return out
+
+
+def linear_span_ref(p: int, n: int, rows) -> list[tuple[int, ...]]:
+    """The codeword of every message over F_p, in itertools.product message order.
+
+    Each message's codeword starts at 0^n and adds its multiple of every
+    generator row in turn, one message at a time.
+    """
+    out = []
+    for message in itertools.product(range(p), repeat=len(rows)):
+        syms = [0] * n
+        for c, row in zip(message, rows):
+            syms = [(s + c * v) % p for s, v in zip(syms, row)]
+        out.append(tuple(syms))
+    return out
 
 
 def windows_ref(params, M: int) -> set:

@@ -61,6 +61,11 @@ def test_edit_script_json_roundtrip():
     assert EditScript.from_json_list(script.to_json_list()) == script
     with pytest.raises(ScriptError):
         EditScript.from_json_list([{"op": "move", "pos": 1}])
+    # A position or symbol is refused, not truncated, when it is not an integer.
+    for record in ({"op": "del", "pos": 1.5}, {"op": "ins", "pos": 1, "sym": 2.9},
+                   {"op": "ins", "pos": "1", "sym": 0}, {"op": "del", "pos": True}):
+        with pytest.raises(DomainError, match="must be an integer"):
+            EditScript.from_json_list([record])
 
 
 def test_random_channel_no_operations():

@@ -322,6 +322,9 @@ ROUNDTRIP = ("concat-roundtrip", "--params", "{file}", "--seed", "1", "--budget"
         pytest.param(CERTIFY, "[1, 2]", 3, id="certify-json-list"),
         pytest.param(CERTIFY, '{"q": "two", "n": 2, "words": []}', 3, id="certify-bad-field"),
         pytest.param(
+            CERTIFY, '{"q": 2.9, "n": 3.5, "words": ["010", "111"]}', 3, id="certify-fractional-q-n"
+        ),
+        pytest.param(
             ("concat-decode", "--params", "{file}", "--word", "01"), None, 2,
             id="concat-decode-missing-file",
         ),

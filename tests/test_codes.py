@@ -37,7 +37,7 @@ from insdel.core import (
 )
 from insdel.decode import RSCode
 from insdel.spheres import BallQuery, enumerate_ball_fixed_length
-from oracles import is_prime_ref, strong_probable_prime
+from oracles import is_prime_ref, linear_span_ref, strong_probable_prime
 
 RANDOM_CODE_DIGEST = "37b80f99934c4ac587aab4656d2ef8e81c302153de2dc8482611955afdc1fdc3"
 LINEAR_CODE_DIGEST = "eff94d3e0c7ef5cb12d1629a6f8f526e98e9aa229bc77907a80e537712f406d8"
@@ -128,6 +128,36 @@ def test_sample_random_linear_code_is_a_group():
 def test_sample_random_linear_code_full_dimension():
     code = sample_random_linear_code(2, 3, 3, 9)
     assert code.words == frozenset(iter_words(2, 3))
+
+
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    shape=st.integers(0, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, min(n, 3)))),
+    data=st.data(),
+)
+def test_linear_span_matches_the_per_message_reference(p, shape, data):
+    """Every message's codeword, in message order, for any k <= n rows: k = 0 and n = 0 too."""
+    n, k = shape
+    row = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    rows = data.draw(st.lists(row, min_size=k, max_size=k))
+    assert codes._linear_span(p, n, rows) == tuple(linear_span_ref(p, n, rows))
+
+
+def test_linear_span_edges_hold_one_word():
+    """At k = 0 the span is the single word 0^n; at n = 0 it is the single empty word."""
+    assert codes._linear_span(5, 3, []) == ((0, 0, 0),) == tuple(linear_span_ref(5, 3, []))
+    assert codes._linear_span(5, 0, []) == ((),) == tuple(linear_span_ref(5, 0, []))
+
+
+@pytest.mark.parametrize(
+    "q, n, k, seed", [(3, 4, 2, 7), (2, 3, 3, 9), (5, 3, 0, 1), (7, 0, 0, 2), (2, 6, 4, 5)]
+)
+def test_sample_random_linear_code_is_the_span_of_its_generators(q, n, k, seed):
+    code = sample_random_linear_code(q, n, k, seed)
+    rows = [g.symbols for g in code.generators]
+    assert len(rows) == k
+    assert code.words == {word(syms, q) for syms in linear_span_ref(q, n, rows)}
+    assert len(code) == q ** k
 
 
 def test_sample_random_linear_code_needs_prime_field():

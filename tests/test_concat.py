@@ -39,7 +39,7 @@ from insdel.concat import (
 from insdel.codes import philox_generator
 from insdel.core import BoundViolationError, CapacityError, DomainError, RegimeWarning
 from insdel.core import insdel_distance, word
-from insdel.core import _fill_grams, _flagged_lanes, _lane_budget, _lane_gate, _lane_width
+from insdel.core import _flagged_lanes, _gram_keys, _gram_table, _lane_budget, _lane_gate, _lane_width
 from insdel.core import _lcs_steps, _split_groups
 from insdel.decode import rs_encode
 from oracles import (
@@ -51,6 +51,7 @@ from oracles import (
     SHARP,
     brute_feasible,
     lcs_matrix_ref,
+    rs_codebook_ref,
     window_cap_ref,
     windows_ref,
 )
@@ -199,6 +200,23 @@ def test_make_concat_params_refuses_before_building_anything(monkeypatch, overri
     monkeypatch.setattr(concat.InnerEncoder, "sample", built)
     with pytest.raises(error):
         make_concat_params(**{**DESK, **override})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("N", 8.0), ("n", 10.5), ("q", 2.0), ("ell_out", 88.5), ("ell_out", True),
+     ("inner_seed", 2024.7)],
+)
+def test_make_concat_params_refuses_non_integer_counts(monkeypatch, field, value):
+    """A float or bool count is refused, not truncated or kept, before anything is built."""
+
+    def built(*args, **kwargs):
+        raise AssertionError("built from a non-integer count")
+
+    monkeypatch.setattr(concat, "RSCode", built)
+    monkeypatch.setattr(concat.InnerEncoder, "sample", built)
+    with pytest.raises(DomainError, match=f"must be an integer, got {value!r}$"):
+        make_concat_params(**{**DESK, field: value})
 
 
 def test_inner_encoder_symbol_limit_is_inclusive(monkeypatch):
@@ -516,9 +534,7 @@ def test_listed_words_are_the_encoded_outer_codewords_in_symbol_order(instance):
 def test_a_repeated_decode_builds_no_word(monkeypatch):
     """The first DESK decode builds all 1331 listed words, a repeat none.
 
-    listed_word_misses counts them and stays out of equality.  Recovery
-    reads the lexicographic codebook, so no decode builds the
-    message-order one.
+    listed_word_misses counts them and stays out of equality.
     """
     params = fresh_params(DESK)
     _, received = full_budget_channel(params, 0)
@@ -537,7 +553,6 @@ def test_a_repeated_decode_builds_no_word(monkeypatch):
     assert repr(second) == repr(first)
     assert all(a is b for a, b in zip(second.codewords, first.codewords))
     assert "sorted_codebook" in params.outer.__dict__
-    assert "codebook" not in params.outer.__dict__
 
 
 def test_desk_recovery_table_planes_and_full_memo_stay_under_their_byte_bounds():
@@ -582,7 +597,7 @@ def test_listed_word_memo_holds_recovered_codebook_members_only(instance):
     for seed in range(6):
         full_budget_roundtrip(params, seed)
     digits, memo = params.listed_words
-    assert memo and set(memo) <= set(params.outer.codebook)
+    assert memo and set(memo) <= set(rs_codebook_ref(params.outer))
     assert len(memo) <= params.outer.p ** params.outer.k
     for cw, (key, word) in memo.items():
         assert word == concat_encode(params, cw)
@@ -870,48 +885,62 @@ def test_scan_fields_neither_print_nor_compare(desk_params):
     assert "scan_" not in repr(report) and "starts_per" not in repr(report)
 
 
-def test_the_gram_table_is_filled_by_decodes_not_by_params():
-    """make_concat_params builds no gram table; decodes fill it within its bound.
+@pytest.mark.parametrize("instance, stored", [(DESK, 126), (SHARP, 340)], ids=["desk", "sharp"])
+def test_the_gram_table_holds_every_reachable_gram_and_a_decode_adds_none(instance, stored):
+    """make_concat_params builds no gram table; the first decode builds it whole.
 
-    The bound is (q + 1)**S entries of S * G bits, every one matching
-    something.
+    Past the end of a word a gram's sentinels form a suffix, so
+    (q**(S + 1) - 1) // (q - 1) grams are reachable, and each but the
+    all-sentinel gram matches some inner word.  Entry s of a gram is the
+    inner match entry of its symbol s, at bit s * G.  Every key the
+    decodes read is in the table or is the all-sentinel gram, and the
+    decodes leave the table as it was.
     """
-    params = fresh_params(SHARP)
+    params = fresh_params(instance)
     assert "inner_grams" not in params.__dict__
     S, grams, addends, tops = params.inner_grams
-    assert grams[0] == {}
+    q, step, match = params.q, params.tau_hat_n, params.inner_lanes[0][0]
     G = len(params.inner.words) * _lane_width(params.n)
+    reachable = {
+        head + (q,) * (S - j) for j in range(S + 1) for head in itertools.product(range(q), repeat=j)
+    }
+    assert len(reachable) == (q ** (S + 1) - 1) // (q - 1) == stored + 1
+    assert set(grams[0]) == reachable - {(q,) * S}
+    for gram, entry in grams[0].items():
+        assert entry == sum(match.get(symbol, 0) << s * G for s, symbol in enumerate(gram))
+    before = dict(grams[0])
     for received in edge_words(params, 1):
         list_decode_concat_detailed(params, received)
-    assert 0 < len(grams[0]) <= (params.q + 1) ** S
-    assert all(0 < entry < 1 << S * G for entry in grams[0].values())
+        keys = _gram_keys(received.symbols, q, step, S, len(received) + S * step)
+        assert set(keys) <= reachable
+    assert grams[0] == before
     assert len(addends) == len(params.inner_lanes[1]) and len(tops) == S + 1
 
 
 def test_a_full_gram_table_on_sharp_stays_under_its_bound():
-    """Fill every one of the (q + 1)**S grams; the table retains under its bound.
+    """The SHARP gram table retains under its bound.
 
-    Each of the 625 SHARP grams (S = 4) holds S * G = 1848 bits, so the
-    entries alone take about 144 KB; with the key tuples and the dict
-    the table must stay under 625 * (S * G / 8 + 200) bytes, about
-    269 KB.
+    Each of the 340 stored SHARP grams (S = 4) holds S * G = 1848 bits,
+    so the entries alone take about 79 KB; with the key tuples and the
+    dict the table must stay under 340 * (S * G / 8 + 200) bytes, about
+    147 KB.
     """
     params = fresh_params(SHARP)
     table = params.inner_lanes[0]
-    S, grams, _, _ = params.inner_grams
+    S = params.inner_grams[0]
     G = len(params.inner.words) * _lane_width(params.n)
-    every = list(itertools.product(range(params.q + 1), repeat=S))
+    gc.collect()
     tracemalloc.start()
     try:
-        _fill_grams(grams, table, every, G)
+        grams = _gram_table(table, params.q, S, G)
         held = tracemalloc.get_traced_memory()[0]
-        assert len(grams[0]) == len(every) - 1  # all but the all-sentinel gram
-        del params.__dict__["inner_grams"], grams
+        assert grams == params.inner_grams[1]
+        del grams
         retained = held - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert (params.q + 1) ** S == 625
-    assert 0 < retained < 625 * (S * G // 8 + 200) < 2**19
+    assert len(params.inner_grams[1][0]) == 340
+    assert 0 < retained < 340 * (S * G // 8 + 200) < 2**18
 
 
 @pytest.mark.parametrize(

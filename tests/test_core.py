@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +14,6 @@ from insdel.core import (
     DomainError,
     RunProfile,
     Word,
-    _fill_grams,
     _flagged_lanes,
     _gram_keys,
     _gram_table,
@@ -314,10 +314,9 @@ def group_counters(words, n, q, xs, step, groups, longest):
     """
     table = _packed_match_table(words, n)
     width, G = _lane_width(n), len(words) * _lane_width(n)
-    grams = _gram_table(table, groups, G)
+    grams = _gram_table(table, q, groups, G)
     starts = range(0, len(xs) + 2 * step, step)
     keys = _gram_keys(xs, q, step, groups, starts.stop + longest)
-    _fill_grams(grams, table, keys, G)
     out = {}
     for h, phi in enumerate(starts[::groups]):
         row = list(_lcs_steps(keys[phi : phi + longest], grams))
@@ -362,11 +361,15 @@ def test_gram_helpers_lay_out_groups_side_by_side():
     # Grams of (0, 1, 2) at step 1 over q = 3: the sentinel 3 past the end.
     assert _gram_keys((0, 1, 2), 3, 1, 2, 4) == [(0, 1), (1, 2), (2, 3), (3, 3)]
     assert _gram_keys((0, 1, 2), 3, 2, 2, 2) == [(0, 2), (1, 3)]
-    table = _packed_match_table([(0, 1)], 2)
-    grams = _gram_table(table, 2, 3)
-    _fill_grams(grams, table, [(0, 1), (1, 3), (2, 2), (3, 3)], 3)
     # Symbol 0 sits at bit 0, symbol 1 at bit 1; group 1 starts at bit 3.
-    assert grams[0] == {(0, 1): 0b010_001, (1, 3): 0b010}
+    # Symbol 2 and the sentinel 3 match nothing, so (2, 2), (2, 3) and
+    # (3, 3) are not stored: 10 of the 13 grams with a sentinel suffix.
+    grams = _gram_table(_packed_match_table([(0, 1)], 2), 3, 2, 3)
+    assert grams[0] == {
+        (0, 0): 0b001_001, (0, 1): 0b010_001, (0, 2): 0b001, (0, 3): 0b001,
+        (1, 0): 0b001_010, (1, 1): 0b010_010, (1, 2): 0b010, (1, 3): 0b010,
+        (2, 0): 0b001_000, (2, 1): 0b010_000,
+    }
     assert grams[1:] == (0b011_011, 0b001_001, 2)
 
 
@@ -464,6 +467,12 @@ def test_word_validation():
         word((-1,), 3)
     with pytest.raises(DomainError):
         word((), 1)
+    # A non-integer symbol is refused, not truncated or parsed.
+    for symbols in ([0, 1.9], [0, 1.0], ["0", "1"]):
+        with pytest.raises(DomainError, match="word symbols must be integers"):
+            word(symbols, 2)
+    assert word([np.int64(1), 0], 2).symbols == (1, 0)
+    assert all(type(s) is int for s in word([np.int64(1), 0], 2).symbols)
 
 
 def test_word_slicing_keeps_alphabet():

@@ -22,7 +22,7 @@ from insdel.decode import (
     rs_encode,
 )
 
-from oracles import all_tuples, brute_list_recover, distance_ref
+from oracles import all_tuples, brute_list_recover, distance_ref, rs_codebook_ref
 
 TWO_REPS = Code(q=2, n=2, words=frozenset({word((0, 0), 2), word((1, 1), 2)}))
 FULL_SQUARE = Code(q=2, n=2, words=frozenset(iter_words(2, 2)))
@@ -322,11 +322,11 @@ def test_list_recover_capacity_guard():
     with pytest.raises(CapacityError):
         brute_force_list_recover(code, [frozenset()] * 3, alpha=0.0)
     with pytest.raises(CapacityError):
-        code.codebook
-    assert "codebook" not in code.__dict__
+        code.sorted_codebook
+    assert "sorted_codebook" not in code.__dict__
     # p**K runs to thousands of digits; the refusal neither builds nor prints it.
     with pytest.raises(CapacityError):
-        RSCode(p=10007, k=1200, points=range(1200)).codebook
+        RSCode(p=10007, k=1200, points=range(1200)).sorted_codebook
 
 
 def test_codebook_symbol_limit_is_inclusive(monkeypatch):
@@ -335,30 +335,26 @@ def test_codebook_symbol_limit_is_inclusive(monkeypatch):
     code = RSCode(p=11, k=3, points=range(8))
     with pytest.raises(CapacityError, match="^a codebook of 11\\*\\*3 words of length 8 exceeds 10647 symbols$"):
         brute_force_list_recover(code, [frozenset()] * 8, alpha=0.0)
-    assert "codebook" not in code.__dict__
+    assert "sorted_codebook" not in code.__dict__
     monkeypatch.setattr(decode, "_RECOVER_SYMBOL_LIMIT", 10_648)
     assert len(brute_force_list_recover(code, [frozenset()] * 8, alpha=0.0)) == 1331
-
-
-def test_rs_codebook_is_every_codeword_in_message_order():
-    code = RSCode(p=5, k=2, points=(0, 1, 2, 3))
-    assert "codebook" not in code.__dict__
-    expected = [rs_encode(code, m) for m in itertools.product(range(5), repeat=2)]
-    assert list(code.codebook) == expected
-    assert code.codebook is code.codebook
-    assert code == RSCode(p=5, k=2, points=(0, 1, 2, 3))
 
 
 @pytest.mark.parametrize(
     "p, k, points",
     [(11, 3, range(8)), (7, 3, (0, 2, 3, 5, 6)), (13, 1, (0, 5, 12)), (101, 2, (100, 0, 1, 7)),
-     (2, 2, (0, 1))],
+     (2, 2, (0, 1)), (5, 2, (0, 1, 2, 3))],
 )
 def test_codebook_by_linearity_equals_encoding_every_message(p, k, points):
+    """sorted_codebook is the sorted per-message reference, built once on first use."""
     code = RSCode(p=p, k=k, points=points)
-    expected = tuple(rs_encode(code, m) for m in itertools.product(range(p), repeat=k))
-    assert code.codebook == expected
-    assert all(type(s) is int for cw in code.codebook for s in cw)
+    assert "sorted_codebook" not in code.__dict__
+    reference = rs_codebook_ref(code)
+    assert reference == [rs_encode(code, m) for m in itertools.product(range(p), repeat=k)]
+    assert code.sorted_codebook == tuple(sorted(reference))
+    assert code.sorted_codebook is code.sorted_codebook
+    assert all(type(s) is int for cw in code.sorted_codebook for s in cw)
+    assert code == RSCode(p=p, k=k, points=points)
 
 
 @st.composite
@@ -409,7 +405,7 @@ def test_sorted_codebook_is_the_sorted_codebook_lane_by_lane(code):
     About 50 lanes are checked per code, the first and the last among them.
     """
     table = code.sorted_codebook
-    assert table == tuple(sorted(code.codebook))
+    assert table == tuple(sorted(rs_codebook_ref(code)))
     assert table is code.sorted_codebook
     planes = code.codebook_planes
     (addend,), top = _lane_gate(planes, [0])
@@ -429,7 +425,8 @@ def test_codebook_planes_are_a_quarter_of_the_codebook_or_less():
     code = RSCode(p=101, k=2, points=range(101))
     planes, ones, n = code.codebook_planes
     table = sum(map(sys.getsizeof, planes)) + sys.getsizeof(planes) + sys.getsizeof(ones)
-    codebook = sys.getsizeof(code.codebook) + sum(map(sys.getsizeof, code.codebook))
+    book = code.sorted_codebook
+    codebook = sys.getsizeof(book) + sum(map(sys.getsizeof, book))
     assert len(planes) == 7 and n == 101
     assert 4 * table <= codebook
 

@@ -66,6 +66,24 @@ def runs_a_bit_vector_step(fn: ast.AST) -> bool:
     return False
 
 
+def test_no_integer_is_read_from_a_record_by_int():
+    """A field read from a record is checked by core._whole, not passed to int().
+
+    int(data["q"]) reads 2.9 as 2 and "3" as 3, so a malformed JSON
+    field would be truncated or parsed instead of refused.
+    """
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "int"
+        and any(isinstance(arg, ast.Subscript) for arg in node.args)
+    ]
+    assert found == []
+
+
 def test_one_lcs_kernel():
     """The Hyyrö update, (v + u) | (v - u), is written only in core._lcs_steps."""
     found = [
