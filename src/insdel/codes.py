@@ -230,7 +230,7 @@ def sample_random_linear_code(q: int, n: int, k: int, seed: Seed) -> LinearCode:
         matrix = [[int(v) for v in rng.integers(0, q, size=n)] for _ in range(k)]
         if k == 0 or _rank_mod_p([row[:] for row in matrix], q) == k:
             break
-    span = frozenset(Word(syms, q) for syms in _linear_span(q, n, matrix))
+    span = frozenset(Word._unchecked(syms, q) for syms in _linear_span(q, n, matrix))
     generators = tuple(Word(tuple(row), q) for row in matrix)
     return LinearCode(q=q, n=n, words=span, generators=generators)
 

@@ -345,7 +345,8 @@ class ConcatParams:
         by side, copy s at bit s * G with G = inner words * (n + 1); its
         match dict holds the entry of every S-gram key a received word
         can have (core._gram_table): at most (q**(S + 1) - 1) // (q - 1)
-        - 1 entries of S * G bits, 126 on DESK and 340 on SHARP.
+        - 1 entries of S * G bits, 126 on DESK and 340 on SHARP, and at
+        S = 1 one per symbol of the inner words, however large q is.
         addends[L] is inner_lanes' addend for L in every copy, and
         tops[g] keeps the gate bits of the first g copies.  Built on the
         first decode, then shared by every decode.

@@ -419,13 +419,15 @@ def _gram_table(table: _LaneTable, q: int, groups: int, width: int) -> _LaneTabl
     so a key is j <= groups symbols below q followed by groups - j
     sentinels: (q**(groups + 1) - 1) // (q - 1) grams in all.  Every
     one is built here, and those matching nothing, the all-sentinel
-    gram among them, are not stored.
+    gram among them, are not stored.  At one group only table's symbols
+    are tried, so q may be huge; callers pack more groups at small q only.
     """
     match, mask, ones, n = table
+    symbols = range(q) if groups > 1 else sorted(match)
     grams = {}
     for j in range(groups + 1):
         tail = (q,) * (groups - j)
-        for head in itertools.product(range(q), repeat=j):
+        for head in itertools.product(symbols, repeat=j):
             entry = _pack_lanes([match.get(symbol, 0) for symbol in head], width)
             if entry:
                 grams[head + tail] = entry

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import random
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -915,6 +916,22 @@ def test_the_gram_table_holds_every_reachable_gram_and_a_decode_adds_none(instan
         assert set(keys) <= reachable
     assert grams[0] == before
     assert len(addends) == len(params.inner_lanes[1]) and len(tops) == S + 1
+
+
+def test_a_huge_alphabet_builds_a_gram_table_of_the_inner_symbols_only():
+    """At q = 2**40, S = 1: the table holds only the inner words' symbols.
+
+    A table over every symbol below q would never finish, so the first
+    decode must cost time in proportion to the inner encoder alone.
+    """
+    params = fresh_params({**DESK, "q": 2**40})
+    start = time.perf_counter()
+    report = list_decode_concat_detailed(params, concat_encode_message(params, MESSAGE))
+    assert time.perf_counter() - start < 1.0
+    S, grams = params.inner_grams[:2]
+    symbols = {symbol for w in params.inner.words for symbol in w.symbols}
+    assert S == 1 and set(grams[0]) == {(symbol,) for symbol in symbols}
+    assert concat_encode_message(params, MESSAGE) in report.codewords
 
 
 def test_a_full_gram_table_on_sharp_stays_under_its_bound():
