@@ -290,8 +290,6 @@ def _load_code(path: str) -> Code:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     code = _load_code(args.code_file)
-    if args.mode == "sampled" and args.seed is None:
-        raise DomainError("sampled mode requires --seed")
     ok, witness = certify_list_decodable(
         code,
         args.tau_n,

@@ -41,17 +41,18 @@ of every domain word against S starts at once: the inner lane table is
 repeated S times side by side, and each step reads one S-gram of the
 received word (the multiple-text packing of Hyyrö, Fredriksson &
 Navarro).  S is the largest count with (q + 1)**S <= _SCAN_GRAM_LIMIT:
-4 at q = 4, 6 at q = 2.  Then it gates one window length at a time
-across every recurrence, S starts per add: the counter after that many
-symbols (or, for a start too near the end, after its last one) against
-the inner radius.  A start's flags are split out of its recurrence's
-only when those are nonzero.  The feasible
-block positions of a window depend only on (lam, mu, M), so they are
-cached per ConcatParams and received length M (feasible_positions),
-filled only on hit windows: a window's first hit costs the one
-feasible_jN call it would make without the cache, and later hits read
-the slot.  Only decodable lengths reach the cache, so it holds at most
-2 * radius + 1 lengths, each with one slot per window of its census.
+4 at q = 4, 6 at q = 2.  Then it gates one window length L at a time
+across every recurrence, S starts per add: each start's counter after
+L symbols (its last, for a start too near the end) against the inner
+radius at its clipped length.  A start's flags are split out of its
+recurrence's only when those are nonzero.  The gate addends, one per
+recurrence, and the feasible block positions of a window depend only
+on (lam, mu, M), so they are cached per ConcatParams and received
+length M (length_tables), the positions only on hit windows: a
+window's first hit costs the one feasible_jN call it would make
+without the cache, and later hits read the slot.  Only decodable
+lengths reach the cache, so it holds at most 2 * radius + 1 lengths,
+each with one slot per window of its census.
 """
 
 from __future__ import annotations
@@ -180,10 +181,10 @@ class ConcatParams:
     the bound's floor, so the decoder compares against these two ints.
     The decoder's listed words are memoized per instance (listed_words):
     each is built once, and the list is ordered by its int key.  The
-    feasible block positions of each hit window are cached per received
-    length (feasible_positions): at most 2 * radius + 1 lengths times
-    that length's window census, and a miss costs only the feasible_jN
-    call the decoder would make without the cache.
+    scan's gate addends and the feasible block positions of each hit
+    window are cached per received length (length_tables): at most
+    2 * radius + 1 lengths, and a feasibility miss costs only the
+    feasible_jN call the decoder would make without the cache.
     """
 
     N: int
@@ -201,6 +202,8 @@ class ConcatParams:
     ell_out: int
 
     def __post_init__(self) -> None:
+        for name in ("N", "n", "q", "ell_out"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
         for name in ("eps_cont", "eps_in", "eps_out", "eps_conc", "tau_in",
                      "tau_star", "alpha_out"):
             object.__setattr__(self, name, _frac(getattr(self, name), name))
@@ -312,7 +315,9 @@ class ConcatParams:
 
         Block i carries encoder index i mod eps_cont_N + 1, so
         block_symbols[i][sym] is the symbol tuple of the inner word of
-        (i mod eps_cont_N + 1, sym).  Built on first use.
+        (i mod eps_cont_N + 1, sym), the word's own tuple, so the table
+        adds N * (8 * p + 48) + 48 bytes at most on a 64-bit CPython.
+        Built on first use.
         """
         words, E, p = self.inner.words, self.eps_cont_N, self.outer.p
         return tuple(
@@ -327,8 +332,11 @@ class ConcatParams:
         (index, sym) with divmod(k, symbol_count) = (index - 1, sym).
         For every window length L up to mu_hi * tau_hat_n, (counts +
         addends[L]) & top flags the lanes within inner_radius of a window
-        with LCS counter counts.  Built on the first decode, then shared
-        by every decode.
+        with LCS counter counts.  Its ints of G = inner words * (n + 1)
+        bits, one per symbol of the inner words, per length and three
+        more, take (symbols + mu_hi * tau_hat_n + 4) * (G // 7 + 64) + 512
+        bytes at most on a 64-bit CPython.  Built on the first decode,
+        then shared by every decode.
         """
         words, n = [w.symbols for w in self.inner.words], self.n
         table = _packed_match_table(words, n)
@@ -337,8 +345,8 @@ class ConcatParams:
         return table, addends, top
 
     @cached_property
-    def inner_grams(self) -> tuple[int, _LaneTable, list[int], list[int]]:
-        """(S, table, addends, tops): inner_lanes for S window starts at once.
+    def inner_grams(self) -> tuple[int, _LaneTable, list[int], int]:
+        """(S, table, addends, top): inner_lanes for S window starts at once.
 
         S is the largest count with (q + 1)**S <= _SCAN_GRAM_LIMIT, and at
         least 1.  The gram table holds S copies of inner_lanes' lanes side
@@ -347,9 +355,9 @@ class ConcatParams:
         can have (core._gram_table): at most (q**(S + 1) - 1) // (q - 1)
         - 1 entries of S * G bits, 126 on DESK and 340 on SHARP, and at
         S = 1 one per symbol of the inner words, however large q is.
-        addends[L] is inner_lanes' addend for L in every copy, and
-        tops[g] keeps the gate bits of the first g copies.  Built on the
-        first decode, then shared by every decode.
+        addends[L] is inner_lanes' addend for L in every copy, and top
+        keeps the gate bits of every copy.  Built on the first decode,
+        then shared by every decode.
         """
         table, addends, top = self.inner_lanes
         S = 1
@@ -360,7 +368,7 @@ class ConcatParams:
             S,
             _gram_table(table, self.q, S, G),
             [_repeat_groups(addend, S, G) for addend in addends],
-            [_repeat_groups(top, g, G) for g in range(S + 1)],
+            _repeat_groups(top, S, G),
         )
 
     @cached_property
@@ -393,20 +401,25 @@ class ConcatParams:
         return tuple(digits), {}
 
     @cached_property
-    def feasible_positions(
+    def length_tables(
         self,
-    ) -> tuple[dict[int, list[list[range | None]]], dict[range, range]]:
-        """(slots, shared): the decoder's cache of feasible block positions.
+    ) -> tuple[dict[int, tuple[list[list[range | None]], list[list[int]]]], dict]:
+        """(tables, shared): the decoder's tables per received length M.
 
-        slots[M][mu - mu_lo][lam] is feasible_jN(lam, mu, self, M), or
-        None until a decode of a length-M word first finds a hit in
-        window (lam, mu).  A miss costs the one feasible_jN call the
-        window would make without the cache, and a window without hits
-        never makes one.  The decoder refuses |M - n*N| > radius first,
-        so slots holds at most 2 * radius + 1 lengths, each with one
-        slot per window of its census.  shared maps each range to one
-        stored copy, so equal ranges share it.  Built on first use,
-        then shared by every decode.
+        tables[M] = (slots, gates) is built by the first decode of a
+        length-M word.  slots[mu - mu_lo][lam] is feasible_jN(lam, mu,
+        self, M), or None until a decode first finds a hit in window
+        (lam, mu), so a window without hits never calls feasible_jN.
+        Group s of gates[mu - mu_lo][h] is inner_lanes' addend for start
+        phi = (h*S + s) * step at its clipped length min(mu * step,
+        max(0, M - phi)), or 0 past lam_hi.  A recurrence that clips no
+        start holds inner_grams' addend; shared keeps one copy of every
+        other gate and of every range.  Only decodable lengths are
+        kept, at most 2 * radius + 1.  A length of W windows, R
+        recurrences and m window lengths holds 8 * (W + m * R) + 144 * m
+        + 512 bytes of lists at most, and shared 256 bytes per range and
+        S * G // 7 + 160 per gate (G as in inner_lanes), on a 64-bit
+        CPython.  Built on first use, then shared by every decode.
         """
         return {}, {}
 
@@ -666,30 +679,29 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
     if work > _SCAN_WORK_LIMIT:
         raise CapacityError(f"a window scan of {work} lane bits exceeds {_SCAN_WORK_LIMIT}")
     E, p = params.eps_cont_N, params.outer.p
-    addends = params.inner_lanes[1]
-    S, grams, group_addends, tops = params.inner_grams
-    top = tops[S]
-    slots, shared = params.feasible_positions
-    by_mu = slots.get(M)
-    if by_mu is None:
-        by_mu = slots[M] = [[None] * len(starts) for _ in mus]
+    S, grams, group_addends, top = params.inner_grams
     # Recurrence h runs starts h*S .. h*S + S - 1 at once, start h*S + s in
     # group s, over the longest window from its first start: step t reads
     # the S-gram key at heads[h] + t.  A start's counter stops at the last
-    # received symbol, so a window reaching past the end reads the counter
-    # of its clipped content.
+    # received symbol, so after L steps it holds the counter of the start's
+    # length-L window clipped at the end.
     heads = starts[::S]
     keys = _gram_keys(r.symbols, params.q, step, S, starts.stop + longest)
-    # A start's windows that reach past the end are gated at its clipped
-    # length, min(longest, M - phi): edges[h] holds those addends for the
-    # starts of recurrence h, and 0, which flags nothing, for the starts
-    # past lam_hi that fill the last one.  Recurrences before `whole`
-    # clip no start.
-    whole = max(0, (M - longest) // step + 1) // S
-    ends = [addends[min(longest, max(0, M - phi))] for phi in starts[whole * S :]]
-    ends += [0] * (-len(starts) % S)
-    edges = [group_addends[longest]] * whole
-    edges += [_pack_lanes(ends[i : i + S], lane_bits) for i in range(0, len(ends), S)]
+    tables, shared = params.length_tables
+    entry = tables.get(M)
+    if entry is None:
+        # Each start is gated at its clipped length (see length_tables);
+        # recurrences before `whole` clip no start at length L.
+        addends, gates = params.inner_lanes[1], []
+        for mu in mus:
+            L = mu * step
+            whole = max(0, (M - L) // step + 1) // S
+            tail = [addends[min(L, max(0, M - phi))] for phi in starts[whole * S :]]
+            tail += [0] * (-len(starts) % S)
+            packed = (_pack_lanes(tail[i : i + S], lane_bits) for i in range(0, len(tail), S))
+            gates.append([group_addends[L]] * whole + [shared.setdefault(g, g) for g in packed])
+        entry = tables[M] = ([[None] * len(starts) for _ in mus], gates)
+    by_mu, gates = entry
     # hit_lanes[j] gathers the gate flags of every (index, sym) lane hit
     # by a window that position j is feasible for, whatever the index.
     hit_lanes = [0] * params.N
@@ -704,20 +716,9 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
         rows = [
             list(_lcs_steps(keys[phi : phi + longest], grams)) for phi in heads[first : first + batch]
         ]
-        clipped = [(row[-1] + edge) & top for row, edge in zip(rows, edges[first : first + batch])]
-        for mu, positions in zip(mus, by_mu):
-            # The windows of length L = mu * step: starts up to
-            # lam = (M - L) // step hold L symbols, the rest are clipped.
-            # Recurrences before `full` hold only the former, and
-            # recurrence `full` holds `part` of them in its low groups.
+        for mu, positions, gate_row in zip(mus, by_mu, gates):
             L = mu * step
-            full, part = divmod(max(0, (M - L) // step + 1 - first * S), S)
-            addend = group_addends[L]
-            flags = [(row[L] + addend) & top for row in rows[:full]]
-            if part and full < len(rows):
-                low = tops[part]
-                flags.append(((rows[full][L] + addend) & low) | (clipped[full] & (top ^ low)))
-            flags += clipped[len(flags) :]
+            flags = [(row[L] + gate) & top for row, gate in zip(rows, gate_row[first:])]
             counts = list(map(int.bit_count, flags))
             match_total += sum(counts)
             # Split the recurrences with a hit: groups[i] holds the flags of

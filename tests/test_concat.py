@@ -229,6 +229,16 @@ def test_inner_encoder_symbol_limit_is_inclusive(monkeypatch):
         make_concat_params(**DESK)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("N", 8.0), ("n", 10.5), ("q", 2.0), ("ell_out", 88.5), ("ell_out", True)],
+)
+def test_params_refuse_non_integer_counts_however_built(desk_params, field, value):
+    """ConcatParams itself checks its counts, so dataclasses.replace cannot slip a float in."""
+    with pytest.raises(DomainError, match=f"must be an integer, got {value!r}$"):
+        dataclasses.replace(desk_params, **{field: value})
+
+
 def test_params_reject_mismatched_inner(desk_params):
     bad_inner = InnerEncoder.sample(2, 10, 3, 11, seed=1)
     with pytest.raises(DomainError):
@@ -698,7 +708,7 @@ def test_feasibility_cache_decodes_like_the_direct_scan_at_every_length(instance
         fresh = list_decode_concat_detailed(fresh_params(instance), received)
         assert report == fresh, label
         assert repr(report) == repr(fresh), label
-    assert sorted(params.feasible_positions[0]) == sorted(
+    assert sorted(params.length_tables[0]) == sorted(
         {len(sent) - radius, len(sent), len(sent) + radius}
     )
 
@@ -748,7 +758,7 @@ def test_a_refused_length_leaves_the_feasibility_cache_empty(monkeypatch):
         with pytest.raises(DomainError, match="outside the decodable range"):
             list_decode_concat_detailed(params, word((0,) * M, params.q))
     assert calls == [0]
-    assert params.feasible_positions == ({}, {})
+    assert params.length_tables == ({}, {})
 
 
 def test_scan_work_limit_is_inclusive(monkeypatch):
@@ -762,44 +772,135 @@ def test_scan_work_limit_is_inclusive(monkeypatch):
     with pytest.raises(CapacityError, match="^a window scan of 1871100 lane bits exceeds 1871099$"):
         list_decode_concat_detailed(params, received)
     assert "inner_lanes" not in params.__dict__ and "inner_grams" not in params.__dict__
-    assert params.feasible_positions == ({}, {})
+    assert params.length_tables == ({}, {})
     monkeypatch.setattr(concat, "_SCAN_WORK_LIMIT", 1_871_100)
     report = list_decode_concat_detailed(params, received)
     assert report.window_count == len(build_windows(params, len(received)))
 
 
 def test_a_full_feasibility_cache_on_sharp_stays_under_a_megabyte():
-    """Fill every slot at every decodable length; the cache retains under 1 MB.
+    """Fill every slot at every decodable length; the cache retains under its bound and 1 MB.
 
     An addend equal to top flags every lane, so every window of every
     decode hits and fills its slot.  Each slot must hold feasible_jN's
-    range; what the cache retains is the memory freed when it is dropped.
+    range, and each gate inner_grams' addend or its copy in shared;
+    what the cache retains is the memory freed when it is dropped.  The
+    bound is length_tables' docstring bound, summed over the lengths,
+    and the reading must exceed half of it, so it saw the cache.
     """
     params = fresh_params(SHARP)
     table, addends, top = params.inner_lanes
     params.__dict__["inner_lanes"] = (table, [top] * len(addends), top)
-    total, radius = params.n * params.N, params.radius
+    total, radius, step = params.n * params.N, params.radius, params.tau_hat_n
     lengths = range(total - radius, total + radius + 1)
+    S, _, group_addends, _ = params.inner_grams
+    G = len(params.inner.words) * _lane_width(params.n)
+    gc.collect()
     tracemalloc.start()
     try:
         for M in lengths:
             list_decode_concat_detailed(params, word((0,) * M, params.q))
-        slots, shared = params.feasible_positions
-        assert sorted(slots) == list(lengths)
+        tables, shared = params.length_tables
+        assert sorted(tables) == list(lengths)
         mu_lo = params.window_grid[1]
-        for M, by_mu in slots.items():
-            assert sum(map(len, by_mu)) == len(build_windows(params, M))
-            for mu, positions in enumerate(by_mu, mu_lo):
+        bound = 0
+        for M, (slots, gates) in tables.items():
+            census = len(build_windows(params, M))
+            assert sum(map(len, slots)) == census
+            for mu, positions in enumerate(slots, mu_lo):
                 for lam, span in enumerate(positions):
                     assert span == feasible_jN(lam, mu, params, M), (M, lam, mu)
                     assert span is shared[span]
-        del slots, shared, by_mu, positions, span
+            for mu, row in enumerate(gates, mu_lo):
+                assert all(gate is group_addends[mu * step] or gate is shared[gate] for gate in row)
+            bound += 8 * (census + len(gates) * len(gates[0])) + 144 * len(gates) + 512
+        ranges = sum(isinstance(key, range) for key in shared)
+        bound += 256 * ranges + (len(shared) - ranges) * (S * G // 7 + 160)
+        del tables, shared, slots, gates, positions, span, row
+        gc.collect()
         held = tracemalloc.get_traced_memory()[0]
-        del params.__dict__["feasible_positions"]
+        del params.__dict__["length_tables"]
+        gc.collect()
         retained = held - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert 0 < retained < 2**20
+    assert bound // 2 < retained <= bound, (retained, bound)
+    assert retained < 2**20
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [HOST_WIDE, SHARP, DESK],
+    ids=["host-wide", "sharp", "desk"],
+)
+def test_each_gate_group_gates_its_start_at_its_clipped_length(instance):
+    """The length table's gates hold, per recurrence, each start's addend at its clipped length.
+
+    At the lengths n*N - radius, n*N and n*N + radius, group s of
+    gates[mu - mu_lo][h] must be inner_lanes' addend for the window
+    length L = mu * step clipped at start phi = (h*S + s) * step,
+    min(L, max(0, M - phi)), and 0 for a group past lam_hi.  Only on
+    HOST_WIDE does a last start lie past the end of the word, at one of
+    the lengths.
+    """
+    params = fresh_params(instance)
+    S, G = params.inner_grams[0], len(params.inner.words) * _lane_width(params.n)
+    addends = params.inner_lanes[1]
+    total, radius = params.n * params.N, params.radius
+    past_the_end = 0
+    for M in (total - radius, total, total + radius):
+        list_decode_concat_detailed(params, word((1,) * M, params.q))
+        grid = build_windows(params, M)
+        step = grid.step
+        gates = params.length_tables[0][M][1]
+        assert len(gates) == grid.mu_hi - grid.mu_lo + 1
+        for mu, row in enumerate(gates, grid.mu_lo):
+            assert len(row) == -(-(grid.lam_hi + 1) // S)
+            for h, gate in enumerate(row):
+                for s, group in enumerate(_split_groups([gate], S, G)):
+                    lam = h * S + s
+                    phi = lam * step
+                    expected = addends[min(mu * step, max(0, M - phi))] if lam <= grid.lam_hi else 0
+                    assert group == expected, (M, mu, lam)
+        past_the_end += grid.lam_hi * step > M
+    assert bool(past_the_end) == (instance is HOST_WIDE)
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [DESK, SHARP, {**DESK, "q": 2**40}],
+    ids=["desk", "sharp", "desk-huge-q"],
+)
+def test_inner_lanes_and_block_symbols_stay_under_their_byte_bounds(instance):
+    """Each of the two per-params tables frees no more than its docstring's bound, and over half.
+
+    A full gc runs before tracing and around each reading, as in the
+    DESK recovery-table test.  At q = 2**40 the match dict holds one
+    entry per symbol of the inner words.
+    """
+    params = fresh_params(instance)
+    N, p = params.N, params.outer.p
+    G = len(params.inner.words) * _lane_width(params.n)
+    symbols = len({symbol for w in params.inner.words for symbol in w.symbols})
+    bounds = {
+        "inner_lanes": (symbols + params.window_grid[2] * params.tau_hat_n + 4) * (G // 7 + 64) + 512,
+        "block_symbols": N * (8 * p + 48) + 48,
+    }
+    freed = {}
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for name in bounds:
+            getattr(params, name)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            del params.__dict__[name]
+            gc.collect()
+            freed[name] = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    for name, bound in bounds.items():
+        assert bound // 2 < freed[name] <= bound, (name, freed[name], bound)
 
 
 @pytest.mark.parametrize("instance", [DESK, SHARP, HOST_N6], ids=["desk", "sharp", "host-n6"])
@@ -899,7 +1000,7 @@ def test_the_gram_table_holds_every_reachable_gram_and_a_decode_adds_none(instan
     """
     params = fresh_params(instance)
     assert "inner_grams" not in params.__dict__
-    S, grams, addends, tops = params.inner_grams
+    S, grams, addends, top = params.inner_grams
     q, step, match = params.q, params.tau_hat_n, params.inner_lanes[0][0]
     G = len(params.inner.words) * _lane_width(params.n)
     reachable = {
@@ -915,7 +1016,8 @@ def test_the_gram_table_holds_every_reachable_gram_and_a_decode_adds_none(instan
         keys = _gram_keys(received.symbols, q, step, S, len(received) + S * step)
         assert set(keys) <= reachable
     assert grams[0] == before
-    assert len(addends) == len(params.inner_lanes[1]) and len(tops) == S + 1
+    assert len(addends) == len(params.inner_lanes[1])
+    assert top == sum(params.inner_lanes[2] << s * G for s in range(S))
 
 
 def test_a_huge_alphabet_builds_a_gram_table_of_the_inner_symbols_only():
