@@ -20,6 +20,11 @@ Conventions shared by every rate function here:
   Brent, *Algorithms for Minimization without Derivatives*, 1973) on
   the winning bracket.  Everything is plain float arithmetic in a fixed
   order, so results are reproducible bit for bit.
+* The Zyablov optimizers invert the tau -> rate map through a table of
+  knots.  For q = 2, 3 and 4 the knot values are committed in
+  ``_zyablov_knots`` (written by ``tests/regen_zyablov_knots.py`` and
+  checked against the builder bit for bit by the tests); every other q
+  builds its table on first use.
 """
 
 from __future__ import annotations
@@ -492,14 +497,25 @@ def large_q_list_size(tau, epsilon) -> int:
     return math.ceil((1 + t) / e) - 1
 
 
-@lru_cache(maxsize=8)
-def _tau_rate_table(q: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+_KNOT_ALPHABETS = (2, 3, 4)
+
+
+def _table_hi(q: int) -> float:
+    """The largest tau the tau -> rate table scans for alphabet q."""
+    return 1.0 if q == 2 else min(2.0, (q - 1) + (q - 1) / q - _EDGE)
+
+
+def _build_tau_rate_table(q: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Knots of the tau -> raw rate map f (epsilon = 0), down to f < 0.
 
-    Used for inversion.  The map is checked to be non-increasing on the
-    knots; the inversion routines assume that pre-scan.
+    Knot j sits at tau = hi * j / _TABLE_KNOTS and holds the worst-case
+    split's raw rate there; the scan stops after the first knot at or
+    below -0.25, or where the segment leaves the domain.  The map is
+    checked to be non-increasing on the knots; the inversion routines
+    assume that pre-scan.  This is the generator of the committed knots
+    in ``_zyablov_knots`` and the path for every other alphabet.
     """
-    hi = 1.0 if q == 2 else min(2.0, (q - 1) + (q - 1) / q - _EDGE)
+    hi = _table_hi(q)
     taus: list[float] = []
     vals: list[float] = []
     for j in range(_TABLE_KNOTS + 1):
@@ -519,6 +535,27 @@ def _tau_rate_table(q: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
                 "cannot invert by bisection"
             )
     return tuple(taus), tuple(vals)
+
+
+@lru_cache(maxsize=8)
+def _tau_rate_table(q: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(taus, vals) of :func:`_build_tau_rate_table`, read or built once per q.
+
+    For q in _KNOT_ALPHABETS the knot values are read from the committed
+    ``_zyablov_knots`` module (imported on first use, so ``import
+    insdel`` does not load it) and the taus are recomputed with the
+    builder's own expression, so no process pays for the 405-knot build
+    at q = 2.  ``tests/regen_zyablov_knots.py`` writes that module from
+    the builder, and a test checks that it still matches bit for bit.
+    Any other alphabet is built here, once.
+    """
+    if q not in _KNOT_ALPHABETS:
+        return _build_tau_rate_table(q)
+    from ._zyablov_knots import VALS
+
+    vals = VALS[q]
+    hi = _table_hi(q)
+    return tuple(hi * j / _TABLE_KNOTS for j in range(len(vals))), vals
 
 
 def _bracket(vals: tuple[float, ...], target: float) -> int | None:

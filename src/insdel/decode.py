@@ -179,7 +179,8 @@ def certify_list_decodable(
     Sampled mode draws centers with lengths weighted by q**m (matching
     the enumeration space) and requires a seed.  Either mode raises
     CapacityError past 10^7 centers: exhaustive mode on the size of the
-    center space, sampled mode on samples.
+    center space, sampled mode on samples.  Every refusal (mode, seed,
+    sample count and both limits) comes before the table is built.
 
     Both modes build one packed LCS table with a lane per codeword; each
     center then costs one LCS-counting recurrence and one lane gate, and
@@ -189,19 +190,9 @@ def certify_list_decodable(
         raise DomainError("need tau_n >= 0 and L >= 1")
     q, n = c.q, c.n
     lengths = _admissible_lengths(n, tau_n)
-    words = [w.symbols for w in c.words]
-    table = _packed_match_table(words, n)
-    addends, top = _lane_gate(table, [_lane_budget(tau_n, n, m) for m in lengths])
-    first = lengths[0]
-
-    def violates(center: tuple[int, ...]) -> bool:
-        for counts in _lcs_steps(center, table):
-            pass
-        return ((counts + addends[len(center) - first]) & top).bit_count() > L
-
+    first, longest = lengths[0], lengths[-1]
     if mode == "exhaustive":
         # q**longest bounds the total below, so a huge total is refused unbuilt.
-        longest = lengths[-1]
         if _power_exceeds(q, longest, _CERTIFY_CENTER_LIMIT) or (
             sum(q ** m for m in lengths) > _CERTIFY_CENTER_LIMIT
         ):
@@ -209,20 +200,33 @@ def certify_list_decodable(
                 f"centers of lengths {first}..{longest} over q = {q} exceed the "
                 f"exhaustive limit {_CERTIFY_CENTER_LIMIT}; use mode='sampled'"
             )
+    else:
+        if mode != "sampled":
+            raise DomainError(f"unknown mode {mode!r}; use 'exhaustive' or 'sampled'")
+        if seed is None:
+            raise DomainError("sampled mode requires a seed")
+        if samples < 1:
+            raise DomainError("need at least one sample")
+        if samples > _CERTIFY_CENTER_LIMIT:
+            raise CapacityError(
+                f"{samples} samples exceed the center limit {_CERTIFY_CENTER_LIMIT}"
+            )
+    words = [w.symbols for w in c.words]
+    table = _packed_match_table(words, n)
+    addends, top = _lane_gate(table, [_lane_budget(tau_n, n, m) for m in lengths])
+
+    def violates(center: tuple[int, ...]) -> bool:
+        for counts in _lcs_steps(center, table):
+            pass
+        return ((counts + addends[len(center) - first]) & top).bit_count() > L
+
+    if mode == "exhaustive":
         for m in lengths:
             for center in itertools.product(range(q), repeat=m):
                 if violates(center):
                     return CertifyResult(ok=False, witness=Word(center, q))
         return CertifyResult(ok=True, witness=None)
 
-    if mode != "sampled":
-        raise DomainError(f"unknown mode {mode!r}; use 'exhaustive' or 'sampled'")
-    if seed is None:
-        raise DomainError("sampled mode requires a seed")
-    if samples < 1:
-        raise DomainError("need at least one sample")
-    if samples > _CERTIFY_CENTER_LIMIT:
-        raise CapacityError(f"{samples} samples exceed the center limit {_CERTIFY_CENTER_LIMIT}")
     rng = philox_generator(seed)
     # A ticket picks the first length whose running total of q**m exceeds it.
     ends = list(itertools.accumulate(q ** m for m in lengths))

@@ -235,6 +235,22 @@ def test_bounds_values_are_pinned_bit_for_bit():
     assert digest == BOUNDS_PIN
 
 
+def test_committed_zyablov_knots_regenerate_bit_for_bit():
+    """The builder reproduces the committed knots module, text and floats alike."""
+    from insdel import _zyablov_knots
+    from regen_zyablov_knots import KNOTS_FILE, render_knots_module
+
+    assert render_knots_module() == KNOTS_FILE.read_text(encoding="utf-8")
+    assert sorted(_zyablov_knots.VALS) == list(bounds._KNOT_ALPHABETS) == [2, 3, 4]
+    for q in bounds._KNOT_ALPHABETS:
+        built = bounds._build_tau_rate_table(q)
+        read = bounds._tau_rate_table(q)
+        assert [[v.hex() for v in part] for part in read] == [
+            [v.hex() for v in part] for part in built
+        ]
+        assert read[1] is _zyablov_knots.VALS[q]
+
+
 @pytest.mark.parametrize(
     "call",
     [

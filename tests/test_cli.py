@@ -5,6 +5,7 @@ point; everything else calls main() in-process for speed.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import signal
@@ -411,6 +412,28 @@ def test_zyablov_curve_rejects_epsilon_outside_unit_interval():
     assert main(["curve", "--kind", "gv", "--epsilon", "0", "--start", "0", "--stop", "0.1", "--steps", "2"]) == 0
 
 
+# SHA-256 of stdout, taken before q = 2, 3 and 4 read committed table knots.
+# The first sweep is the cli-mix benchmark's; q = 5 builds its table.
+ZYABLOV_CURVE_PINS = {
+    "q2-cli-mix": ("-q 2 --epsilon 0.01 --start 0.1 --stop 0.5 --steps 3",
+                   "5f46dc28501d0528b2b26f92cccc79515d919b98190a76622a1aaa279d377888"),
+    "q3": ("-q 3 --epsilon 0.01 --start 0.2 --stop 0.6 --steps 2",
+           "2f813c92c3cf5abb1d19789a63c9b5ea85105aa1fa52b93c87f368e24522f4f2"),
+    "q4": ("-q 4 --epsilon 0.01 --start 0.2 --stop 0.6 --steps 2",
+           "d1f7652dda7f568995530d52ad0cffa3b6065d8c63a4a6d976cf1c9b9d80e19e"),
+    "q5": ("-q 5 --epsilon 0.01 --start 0.2 --stop 0.6 --steps 2",
+           "5e216908a6611bdf9509ccd3d38422b639daaf33f14794b8b364b1e4e8dbf0a3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZYABLOV_CURVE_PINS))
+def test_zyablov_curve_output_is_pinned(name):
+    sweep, digest = ZYABLOV_CURVE_PINS[name]
+    result = run_cli("curve", "--kind", "zyablov", *sweep.split())
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("flag", ["--epsilon", "--start", "--stop"])
 def test_curve_rejects_non_finite_floats(flag, value):
@@ -575,10 +598,13 @@ def test_sampled_certify_beyond_int64_centers(tmp_path):
 
 
 def test_cli_import_loads_neither_numpy_nor_scipy():
-    probe = "import insdel.cli, sys; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    # Nor the committed Zyablov knots, which only a Zyablov curve reads.
+    heavy = "{'numpy', 'scipy', 'insdel._zyablov_knots'}"
+    for module in ("insdel.cli", "insdel"):
+        probe = f"import {module}, sys; print(sorted({heavy} & set(sys.modules)))"
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n", module
 
 
 def test_seeded_subcommands_are_byte_identical():

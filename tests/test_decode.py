@@ -222,6 +222,38 @@ def test_certify_validation():
         certify_list_decodable(TWO_REPS, 1, 1, mode="sampled", samples=0, seed=1)
 
 
+REFUSALS = [
+    ("radius", dict(tau_n=-1, L=1, mode="guess"), DomainError,
+     "need tau_n >= 0 and L >= 1"),
+    ("centers", dict(tau_n=3, L=1, samples=0), CapacityError,
+     "centers of lengths 17..23 over q = 2 exceed the exhaustive limit 10000000; "
+     "use mode='sampled'"),
+    ("mode", dict(tau_n=3, L=1, mode="guess"), DomainError,
+     "unknown mode 'guess'; use 'exhaustive' or 'sampled'"),
+    ("seed", dict(tau_n=3, L=1, mode="sampled", samples=0), DomainError,
+     "sampled mode requires a seed"),
+    ("no-samples", dict(tau_n=3, L=1, mode="sampled", samples=0, seed=1), DomainError,
+     "need at least one sample"),
+    ("samples", dict(tau_n=3, L=1, mode="sampled", samples=10 ** 7 + 1, seed=1), CapacityError,
+     "10000001 samples exceed the center limit 10000000"),
+]
+
+
+@pytest.mark.parametrize("kwargs, error, message", [r[1:] for r in REFUSALS],
+                         ids=[r[0] for r in REFUSALS])
+def test_certify_refuses_before_building_the_lane_table(monkeypatch, kwargs, error, message):
+    # Some inputs fail more than one check; the first check in order must raise.
+    def build(*args):
+        raise AssertionError("the lane table was built before a refusal")
+
+    monkeypatch.setattr(decode, "_packed_match_table", build)
+    monkeypatch.setattr(decode, "_lane_gate", build)
+    code = Code(q=2, n=20, words=frozenset({word((0,) * 20, 2), word((1,) * 20, 2)}))
+    with pytest.raises(error) as raised:
+        certify_list_decodable(code, **kwargs)
+    assert str(raised.value) == message
+
+
 def test_monte_carlo_pinned_run():
     report = monte_carlo_rate_experiment(3, 6, 0.0, 0.0, 0.5, trials=20, seed=99)
     assert report["failures"] == 0
