@@ -408,7 +408,7 @@ def concat_roundtrip(params: ConcatParams, seed: int, budget: int) -> dict:
     if budget < 0 or budget > 2 * params.n * params.N:
         raise DomainError(f"budget {budget} outside [0, {2 * params.n * params.N}]")
     rng = philox_generator(seed)
-    message = [int(v) for v in rng.integers(0, params.outer.p, size=params.outer.k)]
+    message = [int(v) for v in rng.integers(0, params.p, size=params.K)]
     sent = concat_encode_message(params, message)
     budgets = [0] * params.N
     cap = 2 * params.n

@@ -10,6 +10,9 @@ whole domain, and narrows the admissible block positions for every hit
 window to one interval by exact arithmetic before handing the
 accumulated position lists to exhaustive outer list recovery.
 
+ConcatParams is the parameter record, keyed like its JSON form: it
+checks each field once, then builds the outer and inner codes from them.
+
 Every edit count is an integer, so ConcatParams turns its rational
 radii into whole edit counts once (radius, inner_radius) and the
 per-window feasibility and inner-radius tests compare ints only.  The
@@ -59,21 +62,21 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from operator import itemgetter
 from typing import Sequence
 
-from .codes import Seed, sample_word_sequence
-from .core import BoundViolationError, CapacityError, DomainError, InsdelError, RegimeWarning, Word
+from .codes import Seed, check_seed, sample_word_sequence
+from .core import BoundViolationError, CapacityError, DomainError, RegimeWarning, Word
 from .core import FractionLike, _LaneTable, _flagged_lanes, _frac, _gram_keys
 from .core import _gram_table, _lane_budget, _lane_gate, _lane_width, _lcs_steps, _pack_lanes
 from .core import _packed_match_table, _repeat_groups, _split_groups, _whole, insdel_distance
 from .decode import RSCode, _check_recovery_size, brute_force_list_recover, rs_encode
 
-# make_concat_params refuses an inner encoder of more symbols than this
+# ConcatParams refuses an inner encoder of more symbols than this
 # (index count * p words of length n) before sampling it, so each of the
 # decoder's packed LCS counters holds at most about this many bits.
 _INNER_SYMBOL_LIMIT = 10 ** 5
@@ -95,7 +98,8 @@ class InnerEncoder:
 
     Indices run 1..index_count, symbols 0..symbol_count-1, and the pair
     (index, sym) maps to words[(index-1)*symbol_count + sym].  Words are
-    distinct by construction, so the map is injective.
+    distinct by construction, so the map is injective.  ConcatParams
+    keeps the seed the words were sampled from.
     """
 
     q: int
@@ -103,7 +107,6 @@ class InnerEncoder:
     index_count: int
     symbol_count: int
     words: tuple[Word, ...]
-    seed: Seed | None = None
 
     def __post_init__(self) -> None:
         if self.index_count < 1 or self.symbol_count < 1:
@@ -124,14 +127,7 @@ class InnerEncoder:
         cls, q: int, n: int, index_count: int, symbol_count: int, seed: Seed
     ) -> "InnerEncoder":
         words = sample_word_sequence(q, n, index_count * symbol_count, seed)
-        return cls(
-            q=q,
-            n=n,
-            index_count=index_count,
-            symbol_count=symbol_count,
-            words=words,
-            seed=seed,
-        )
+        return cls(q=q, n=n, index_count=index_count, symbol_count=symbol_count, words=words)
 
     def encode(self, index: int, sym: int) -> Word:
         if not 1 <= index <= self.index_count:
@@ -168,7 +164,16 @@ class Window:
 
 @dataclass(frozen=True)
 class ConcatParams:
-    """Parameters tying the outer code, inner encoder, and budgets together.
+    """The parameter record; the outer RS code and inner encoder are built from it.
+
+    The init fields are the params JSON keys.  __post_init__ checks each
+    once (counts by core._whole, rationals by core._frac) and, before
+    anything is built, N <= p for the default points 0..N-1, at most
+    _INNER_SYMBOL_LIMIT inner symbols (else CapacityError) and N given
+    points.  Then it builds outer (points keeps the tuple outer
+    normalises), refuses a codebook past the recovery limits with
+    CapacityError and samples inner from inner_seed; neither is printed
+    or compared.
 
     Derived quantities, each computed once per instance: tau_hat =
     tau_in - tau_star is the alignment grid pitch (tau_hat_n = tau_hat * n
@@ -190,8 +195,8 @@ class ConcatParams:
     N: int
     n: int
     q: int
-    outer: RSCode
-    inner: InnerEncoder
+    p: int
+    K: int
     eps_cont: Fraction
     eps_in: Fraction
     eps_out: Fraction
@@ -200,14 +205,19 @@ class ConcatParams:
     tau_star: Fraction
     alpha_out: Fraction
     ell_out: int
+    inner_seed: Seed
+    points: tuple[int, ...] | None = None
+    outer: RSCode = field(init=False, repr=False, compare=False)
+    inner: InnerEncoder = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("N", "n", "q", "ell_out"):
+        for name in ("N", "n", "q", "p", "K", "ell_out", "inner_seed"):
             object.__setattr__(self, name, _whole(getattr(self, name), name))
         for name in ("eps_cont", "eps_in", "eps_out", "eps_conc", "tau_in",
                      "tau_star", "alpha_out"):
             object.__setattr__(self, name, _frac(getattr(self, name), name))
-        if self.N < 1 or self.n < 1:
+        N, n, p = self.N, self.n, self.p
+        if N < 1 or n < 1:
             raise DomainError("outer and inner lengths must be positive")
         if self.q < 2:
             raise DomainError("alphabet size must be at least 2")
@@ -222,28 +232,33 @@ class ConcatParams:
             raise DomainError("need 0 < tau_star < tau_in")
         if not 0 < self.eps_cont <= 1:
             raise DomainError("eps_cont must be in (0, 1]")
-        if (self.eps_cont * self.N).denominator != 1 or self.eps_cont * self.N < 1:
+        if (self.eps_cont * N).denominator != 1 or self.eps_cont * N < 1:
             raise DomainError("eps_cont * N must be a positive integer")
-        step = self.tau_hat * self.n
+        step = self.tau_hat * n
         if step.denominator != 1 or step < 1:
             raise DomainError("(tau_in - tau_star) * n must be a positive integer")
         if self.tau < 0:
             raise DomainError(
                 "decoding radius (1 - alpha_out) * tau_in - eps_conc is negative"
             )
-        if self.outer.n != self.N:
-            raise DomainError(
-                f"outer code length {self.outer.n} differs from N={self.N}"
+        check_seed(self.inner_seed)
+        if self.points is None and N > p:
+            raise DomainError(f"need N <= p for the default evaluation points, got N={N}, p={p}")
+        if self.eps_cont_N * p * n > _INNER_SYMBOL_LIMIT:
+            raise CapacityError(
+                f"an inner encoder of {self.eps_cont_N} * {p} words of length {n} exceeds "
+                f"{_INNER_SYMBOL_LIMIT} symbols"
             )
-        if self.inner.q != self.q or self.inner.n != self.n:
-            raise DomainError("inner encoder alphabet or length mismatch")
-        if self.inner.index_count != self.eps_cont_N:
-            raise DomainError(
-                f"inner encoder has {self.inner.index_count} indices, "
-                f"expected eps_cont * N = {self.eps_cont_N}"
-            )
-        if self.inner.symbol_count != self.outer.p:
-            raise DomainError("inner encoder symbol range must match the outer field")
+        points = range(N) if self.points is None else self.points
+        if len(points) != N:
+            raise DomainError(f"outer code length {len(points)} differs from N={N}")
+        outer = RSCode(p=p, k=self.K, points=points)
+        _check_recovery_size(p, self.K, N)
+        object.__setattr__(self, "points", outer.points)
+        object.__setattr__(self, "outer", outer)
+        object.__setattr__(
+            self, "inner", InnerEncoder.sample(self.q, n, self.eps_cont_N, p, self.inner_seed)
+        )
         if self.alpha_out < 1:
             needed = self.tau_in - self.eps_conc / (1 - self.alpha_out)
             if self.tau_star < needed:
@@ -319,7 +334,7 @@ class ConcatParams:
         adds N * (8 * p + 48) + 48 bytes at most on a 64-bit CPython.
         Built on first use.
         """
-        words, E, p = self.inner.words, self.eps_cont_N, self.outer.p
+        words, E, p = self.inner.words, self.eps_cont_N, self.p
         return tuple(
             tuple(w.symbols for w in words[(i % E) * p : (i % E + 1) * p]) for i in range(self.N)
         )
@@ -391,7 +406,7 @@ class ConcatParams:
         bytes on a 64-bit CPython.  Built on first use, then shared by
         every decode.
         """
-        p, N = self.outer.p, self.N
+        p, N = self.p, self.N
         digits = []
         for i, block in enumerate(self.block_symbols):
             scale, digit = p ** (N - 1 - i), [0] * p
@@ -461,62 +476,25 @@ def make_concat_params(
 ) -> ConcatParams:
     """Build params, sampling the inner encoder from the given seed.
 
-    The cheap bounds are checked before anything is built: positive
-    lengths, N <= p when the evaluation points default to 0..N-1, a
-    whole number eps_cont * N of encoder indices, and an inner encoder
-    of at most _INNER_SYMBOL_LIMIT symbols (index count * p * n), past
-    which CapacityError is raised before sampling.  Once the outer code
-    is checked, an outer codebook past the recovery limits (p**K
-    codewords, p**K * N symbols) raises CapacityError before the inner
-    encoder is sampled, since no decode could recover from it.  N, n,
-    q, ell_out and inner_seed must be integers (see core._whole).
+    A keyword pass-through to ConcatParams, which checks every field
+    before it builds the outer code or samples the inner encoder.
     """
-    N, n, q = _whole(N, "outer length N"), _whole(n, "inner length n"), _whole(q, "alphabet size q")
-    ell_out, inner_seed = _whole(ell_out, "list budget ell_out"), _whole(inner_seed, "inner_seed")
-    if N < 1 or n < 1:
-        raise DomainError("outer and inner lengths must be positive")
-    if points is None and N > p:
-        raise DomainError(f"need N <= p for the default evaluation points, got N={N}, p={p}")
-    eps_cont = _frac(eps_cont, "eps_cont")
-    count = eps_cont * N
-    if count.denominator != 1 or count < 1:
-        raise DomainError("eps_cont * N must be a positive integer")
-    if count * p * n > _INNER_SYMBOL_LIMIT:
-        raise CapacityError(
-            f"an inner encoder of {count} * {p} words of length {n} exceeds "
-            f"{_INNER_SYMBOL_LIMIT} symbols"
-        )
-    if points is None:
-        points = tuple(range(N))
-    outer = RSCode(p=p, k=K, points=tuple(points))
-    _check_recovery_size(p, K, N)
-    inner = InnerEncoder.sample(q, n, int(count), p, inner_seed)
     return ConcatParams(
-        N=N,
-        n=n,
-        q=q,
-        outer=outer,
-        inner=inner,
-        eps_cont=eps_cont,
-        eps_in=eps_in,
-        eps_out=eps_out,
-        eps_conc=eps_conc,
-        tau_in=tau_in,
-        tau_star=tau_star,
-        alpha_out=alpha_out,
-        ell_out=ell_out,
+        N=N, n=n, q=q, p=p, K=K, eps_cont=eps_cont, eps_in=eps_in, eps_out=eps_out,
+        eps_conc=eps_conc, tau_in=tau_in, tau_star=tau_star, alpha_out=alpha_out,
+        ell_out=ell_out, inner_seed=inner_seed, points=points,
     )
 
 
 def concat_encode(params: ConcatParams, outer_codeword: Sequence[int]) -> Word:
-    """Concatenate the inner encodings of an outer codeword, block by block."""
+    """Concatenate the inner encodings of an outer codeword (ints in [0, p)), block by block."""
     if len(outer_codeword) != params.N:
         raise DomainError(
             f"outer codeword length {len(outer_codeword)} differs from N={params.N}"
         )
-    p = params.outer.p
+    p = params.p
     for sym in outer_codeword:
-        if not 0 <= sym < p:
+        if not 0 <= _whole(sym, "an outer symbol") < p:
             raise DomainError(f"outer symbol {sym} outside [0, {p})")
     return _concat_words(params, [outer_codeword])[0]
 
@@ -678,7 +656,7 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
     work = len(starts) * longest * lane_bits
     if work > _SCAN_WORK_LIMIT:
         raise CapacityError(f"a window scan of {work} lane bits exceeds {_SCAN_WORK_LIMIT}")
-    E, p = params.eps_cont_N, params.outer.p
+    E, p = params.eps_cont_N, params.p
     S, grams, group_addends, top = params.inner_grams
     # Recurrence h runs starts h*S .. h*S + S - 1 at once, start h*S + s in
     # group s, over the longest window from its first start: step t reads
@@ -820,30 +798,28 @@ def concat_stats(params: ConcatParams) -> dict:
     so rate = r_out * r_in - overhead with overhead nonnegative.
     """
     n_total = params.n * params.N
-    rate = params.outer.k * math.log(params.outer.p, params.q) / n_total
-    r_out = params.outer.k / params.N
-    r_in = math.log(params.eps_cont_N * params.outer.p, params.q) / params.n
+    rate = params.K * math.log(params.p, params.q) / n_total
+    r_out = params.K / params.N
+    r_in = math.log(params.eps_cont_N * params.p, params.q) / params.n
     return {
         "rate": rate,
         "r_out": r_out,
         "r_in": r_in,
         "epsilon": r_out * r_in - rate,
-        "code_size": params.outer.p ** params.outer.k,
+        "code_size": params.p ** params.K,
         "length": n_total,
     }
 
 
 def params_to_json_dict(params: ConcatParams) -> dict:
-    """JSON-ready parameter record; rationals serialize as strings."""
-    if params.inner.seed is None:
-        raise DomainError("only seed-sampled inner encoders serialize to JSON")
+    """JSON-ready parameter record, one key per ConcatParams field; rationals serialize as strings."""
     return {
         "N": params.N,
         "n": params.n,
         "q": params.q,
-        "p": params.outer.p,
-        "K": params.outer.k,
-        "points": list(params.outer.points),
+        "p": params.p,
+        "K": params.K,
+        "points": list(params.points),
         "eps_cont": str(params.eps_cont),
         "eps_in": str(params.eps_in),
         "eps_out": str(params.eps_out),
@@ -852,42 +828,23 @@ def params_to_json_dict(params: ConcatParams) -> dict:
         "tau_star": str(params.tau_star),
         "alpha_out": str(params.alpha_out),
         "ell_out": params.ell_out,
-        "inner_seed": params.inner.seed,
+        "inner_seed": params.inner_seed,
     }
 
 
 def params_from_json_dict(data: dict) -> ConcatParams:
     """Rebuild params from a JSON record, resampling the inner encoder.
 
-    Integer fields and evaluation points must be JSON integers: 8.5,
-    8.0, "8" and true raise DomainError (see core._whole), as does any
-    other malformed field.
+    The fields go to make_concat_params as they are, so ConcatParams
+    checks each once: integer fields and evaluation points must be JSON
+    integers (8.5, 8.0, "8" and true are refused, see core._whole).  A
+    missing field, or any field ConcatParams refuses with DomainError,
+    raises DomainError naming the record; CapacityError passes through.
     """
-
-    def whole(name: str) -> int:
-        return _whole(data[name], f"parameter record has a malformed field: {name}")
-
+    names = [f.name for f in fields(ConcatParams) if f.init and f.name != "points"]
     try:
-        return make_concat_params(
-            N=whole("N"),
-            n=whole("n"),
-            q=whole("q"),
-            p=whole("p"),
-            K=whole("K"),
-            eps_cont=data["eps_cont"],
-            eps_in=data["eps_in"],
-            eps_out=data["eps_out"],
-            eps_conc=data["eps_conc"],
-            tau_in=data["tau_in"],
-            tau_star=data["tau_star"],
-            alpha_out=data["alpha_out"],
-            ell_out=whole("ell_out"),
-            inner_seed=whole("inner_seed"),
-            points=data.get("points"),
-        )
-    except InsdelError:
-        raise
+        return make_concat_params(**{name: data[name] for name in names}, points=data.get("points"))
     except KeyError as exc:
         raise DomainError(f"parameter record is missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:  # DomainError is a ValueError
         raise DomainError(f"parameter record has a malformed field: {exc}") from exc

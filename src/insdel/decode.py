@@ -300,10 +300,10 @@ def monte_carlo_rate_experiment(
 
 
 def rs_encode(code: RSCode, message: Sequence[int]) -> tuple[int, ...]:
-    """Evaluate the degree-<K message polynomial at the code's points."""
+    """Evaluate the degree-<K message polynomial (ints in the field) at the code's points."""
     if len(message) != code.k:
         raise DomainError(f"message length {len(message)} differs from K={code.k}")
-    if any(not 0 <= m < code.p for m in message):
+    if any(not 0 <= _whole(m, "a message symbol") < code.p for m in message):
         raise DomainError("message symbols must lie in the field")
     out = []
     for x in code.points:

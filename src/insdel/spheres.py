@@ -5,7 +5,7 @@ spheres do not; their size is sandwiched by binomial expressions in the
 run count of the center.  Fixed-length ball slices are enumerated either
 by exhaustive scan (oracle mode) or by one deletion sphere followed by
 insertions (fast mode), and bounded analytically through the run
-profile of the center.
+profile of the center; fast mode bounds its own levels, not q**n.
 """
 
 from __future__ import annotations
@@ -154,29 +154,43 @@ def deletion_sphere_bounds(phi: int, n2: int) -> tuple[int, int]:
 def enumerate_ball_fixed_length(qy: BallQuery, mode: str = "fast") -> set[Word]:
     """Words of length target_len within insdel distance radius of the center.
 
-    Oracle mode scans all of Sigma_q^target_len and filters by distance.
-    Fast mode composes one deletion sphere with one insertion BFS: it
-    deletes the most symbols the radius allows, g_hi = min(m,
-    (radius + m - target_len) // 2), and inserts g_hi + target_len - m.
-    A word within the radius shares a subsequence of length m - g_hi
-    with the center, so fewer deletions reach no further member.  The
-    two modes agree exactly; tests rely on that.
+    Empty in either mode when |m - target_len| > radius.  Oracle mode
+    scans all of Sigma_q^target_len, refused past _ENUM_LIMIT words, and
+    filters by distance.  Fast mode composes one deletion sphere with
+    one insertion BFS: it deletes the most symbols the radius allows,
+    g_hi = min(m, (radius + m - target_len) // 2), and inserts
+    g_hi + target_len - m; a word within the radius shares a subsequence
+    of length m - g_hi with the center, so fewer deletions reach no
+    further member.  It bounds its own levels: the deletion sphere
+    counts them exactly, and an insertion level holds at most |shrunk| *
+    insertion_sphere_size(m - g_hi, inserts, q) words.  The two modes
+    agree exactly; tests rely on that.
     """
     if mode not in ("fast", "oracle"):
         raise DomainError(f"unknown mode {mode!r}; use 'fast' or 'oracle'")
     center, radius, n = qy.center, qy.radius, qy.target_len
     m, q = len(center), center.q
-    if _power_exceeds(q, n, _ENUM_LIMIT):
-        raise CapacityError(
-            f"q**target_len = {q}**{n} exceeds the enumeration limit {_ENUM_LIMIT}"
-        )
     if abs(m - n) > radius:
         return set()
     if mode == "oracle":
+        if _power_exceeds(q, n, _ENUM_LIMIT):
+            raise CapacityError(
+                f"q**target_len = {q}**{n} exceeds the enumeration limit {_ENUM_LIMIT}"
+            )
         return {x for x in iter_words(q, n) if insdel_distance(center, x) <= radius}
     g_hi = min(m, (radius + m - n) // 2)
     shrunk = {w.symbols for w in enumerate_deletion_sphere(center, g_hi)}
-    out = _edit_levels(shrunk, g_hi + n - m, [(a,) for a in range(q)], 0)
+    inserts = g_hi + n - m
+    # The insertion sphere is at least q**inserts, so that check bounds its sum.
+    if (
+        _power_exceeds(q, inserts, _ENUM_LIMIT)
+        or len(shrunk) * insertion_sphere_size(m - g_hi, inserts, q) > _ENUM_LIMIT
+    ):
+        raise CapacityError(
+            f"{inserts} insertions into a deletion sphere of {len(shrunk)} exceed the "
+            f"{_ENUM_LIMIT} element limit"
+        )
+    out = _edit_levels(shrunk, inserts, [(a,) for a in range(q)], 0)
     return {Word._unchecked(syms, q) for syms in out}
 
 

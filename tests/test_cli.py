@@ -342,7 +342,7 @@ ROUNDTRIP = ("concat-roundtrip", "--params", "{file}", "--seed", "1", "--budget"
         # Capacity refusals whose counts run to thousands of digits.
         pytest.param(("gv-greedy", "-q", "2", "-n", "15000", "-d", "2"), None, 4, id="greedy-huge-n"),
         pytest.param(
-            ("ball", "-q", "2", "--center", "0101", "--radius", "3", "--length", "15000"), None, 4,
+            ("ball", "-q", "2", "--center", "0", "--radius", "15000", "--length", "15000"), None, 4,
             id="ball-huge-length",
         ),
         pytest.param(
@@ -387,6 +387,11 @@ ROUNDTRIP = ("concat-roundtrip", "--params", "{file}", "--seed", "1", "--budget"
             ("ball", "-q", "3", "--center", "012" * 13 + "0", "--radius", "28", "--length", "12"),
             None, 4, id="ball-long-center",
         ),
+        # 29 insertions into the one-word deletion sphere: 2^30 - 1 words.
+        pytest.param(
+            ("ball", "-q", "2", "--center", "0", "--radius", "30", "--length", "30"), None, 4,
+            id="ball-insertion-levels",
+        ),
     ],
 )
 def test_bad_files_and_arguments_exit_without_traceback(tmp_path, argv, content, code):
@@ -398,6 +403,25 @@ def test_bad_files_and_arguments_exit_without_traceback(tmp_path, argv, content,
     assert result.returncode == code
     assert "error:" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_empty_ball_slices_of_any_length_exit_0():
+    """A radius that cannot bridge the lengths gives the empty slice, however long the target."""
+    result = run_cli("ball", "-q", "2", "--center", "0101", "--radius", "3", "--length", "15000", timeout=10)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+
+
+def test_fast_ball_slices_past_the_length_space_limit():
+    """Fast mode bounds its own levels, not 2**24: this slice holds 301 words."""
+    argv = ("ball", "-q", "2", "--center", "01" * 12, "--radius", "2", "--length", "24")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    words = out.getvalue().split()
+    assert len(words) == 301 and "01" * 12 in words
+    assert all(distance_ref("01" * 12, w) <= 2 and len(w) == 24 for w in words)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main([*argv, "--mode", "oracle"]) == 4
 
 
 def test_zyablov_curve_rejects_epsilon_outside_unit_interval():
@@ -744,20 +768,33 @@ def test_cli_fuzz_exits_with_a_documented_code(fuzz_files, command):
 
 
 def _fuzz_params_record(base: dict):
-    """DESK's params record with p, N, n and K each kept or drawn up to 10^18.
+    """DESK's params record with p, N, n and K each kept or drawn up to 10^18,
+    or one of the records at the limits (one draw in five).
 
     The evaluation points are kept or omitted, so N also sizes the
-    default points 0..N-1.
+    default points 0..N-1.  At the limits: n = 4540, 4545 and 4546 put
+    DESK's 2 * 11 inner words at 99,880, 99,990 and 100,012 symbols,
+    around the 10^5 limit (4545 is refused by the grid step); with one
+    encoder index (eps_cont = 1/N) and default points, N in {996, 1000},
+    p in {997, 1009} and K in {1, 2} put the outer codebook at or past
+    its 10^6-word and 10^7-symbol limits.
     """
+    no_points = {k: v for k, v in base.items() if k != "points"}
+
     def field(name):
         return st.just(base[name]) | st.integers(-3, 64) | st.integers(-3, 10 ** 18)
 
     def record(drawn: dict, keep_points: bool) -> dict:
-        kept = base if keep_points else {k: v for k, v in base.items() if k != "points"}
-        return {**kept, **drawn}
+        return {**(base if keep_points else no_points), **drawn}
 
     fields = st.fixed_dictionaries({name: field(name) for name in ("p", "N", "n", "K")})
-    return st.builds(record, fields, st.booleans())
+    drawn = st.builds(record, fields, st.booleans())
+    inner_limit = st.sampled_from((4540, 4545, 4546)).map(lambda n: {**base, "n": n})
+    codebook_limit = st.builds(
+        lambda N, p, K: {**no_points, "N": N, "p": p, "K": K, "eps_cont": f"1/{N}"},
+        st.sampled_from((996, 1000)), st.sampled_from((997, 1009)), st.sampled_from((1, 2)),
+    )
+    return st.sampled_from([drawn] * 8 + [inner_limit, codebook_limit]).flatmap(lambda s: s)
 
 
 @pytest.mark.parametrize("command", ["concat-decode", "concat-encode", "concat-roundtrip"])

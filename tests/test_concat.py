@@ -161,21 +161,21 @@ def test_regime_warning_below_threshold():
         make_concat_params(**{**DESK, "tau_star": Fraction(3, 10)})
 
 
-@pytest.mark.parametrize(
-    "override",
-    [
-        {"eps_cont": Fraction(1, 3)},
-        {"tau_star": Fraction(1, 2)},
-        {"tau_star": Fraction(9, 20)},
-        {"alpha_out": 0},
-        {"alpha_out": Fraction(3, 2)},
-        {"eps_conc": Fraction(1, 2)},
-        {"eps_in": Fraction(-1, 10)},
-        {"ell_out": -1},
-        {"q": 1},
-        {"tau_in": "nonsense"},
-    ],
-)
+BAD_FIELDS = [
+    {"eps_cont": Fraction(1, 3)},
+    {"tau_star": Fraction(1, 2)},
+    {"tau_star": Fraction(9, 20)},
+    {"alpha_out": 0},
+    {"alpha_out": Fraction(3, 2)},
+    {"eps_conc": Fraction(1, 2)},
+    {"eps_in": Fraction(-1, 10)},
+    {"ell_out": -1},
+    {"q": 1},
+    {"tau_in": "nonsense"},
+]
+
+
+@pytest.mark.parametrize("override", BAD_FIELDS)
 def test_params_validation(override):
     with pytest.raises(DomainError):
         make_concat_params(**{**DESK, **override})
@@ -189,10 +189,14 @@ def test_params_validation(override):
         ({"n": 0}, DomainError),
         ({"n": 10 ** 18}, CapacityError),
         ({"p": 10 ** 18 + 9}, CapacityError),
+        *((override, DomainError) for override in BAD_FIELDS),
+        ({"inner_seed": -1}, DomainError),
+        ({"inner_seed": 2 ** 128}, DomainError),
+        ({"points": (0, 1, 2)}, DomainError),
     ],
 )
 def test_make_concat_params_refuses_before_building_anything(monkeypatch, override, error):
-    """Cheap bounds come first: no evaluation points, RS code or inner word is built."""
+    """Every field is checked first: no evaluation points, RS code or inner word is built."""
 
     def built(*args, **kwargs):
         raise AssertionError("built before the cheap bounds")
@@ -239,10 +243,16 @@ def test_params_refuse_non_integer_counts_however_built(desk_params, field, valu
         dataclasses.replace(desk_params, **{field: value})
 
 
-def test_params_reject_mismatched_inner(desk_params):
-    bad_inner = InnerEncoder.sample(2, 10, 3, 11, seed=1)
-    with pytest.raises(DomainError):
-        dataclasses.replace(desk_params, inner=bad_inner)
+def test_params_fields_are_the_json_record(desk_params):
+    """The init fields are the record's keys; outer and inner are built from them."""
+    init = [f.name for f in dataclasses.fields(ConcatParams) if f.init]
+    assert init == [*DESK, "points"]
+    assert set(init) == set(params_to_json_dict(desk_params))
+    assert desk_params.points == tuple(range(8)) == desk_params.outer.points
+    assert (desk_params.outer.p, desk_params.outer.k) == (desk_params.p, desk_params.K)
+    assert desk_params.inner.words == InnerEncoder.sample(2, 10, 2, 11, seed=2024).words
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(desk_params, inner=desk_params.inner)
 
 
 def test_inner_encoder_table_layout(desk_params):
@@ -296,6 +306,17 @@ def test_concat_encode_block_structure(desk_params, host_n6):
 def test_concat_encode_length_check(desk_params):
     with pytest.raises(DomainError):
         concat_encode(desk_params, (0,) * 7)
+
+
+@pytest.mark.parametrize("symbol", [1.5, 1.0, True, "1"])
+def test_outer_and_message_symbols_must_be_integers(desk_params, symbol):
+    """A float, bool or string symbol is refused, not computed with or read as 1."""
+    with pytest.raises(DomainError, match=f"must be an integer, got {symbol!r}$"):
+        rs_encode(desk_params.outer, (0, symbol, 0))
+    with pytest.raises(DomainError, match=f"must be an integer, got {symbol!r}$"):
+        concat_encode(desk_params, (0, symbol) + (0,) * 6)
+    with pytest.raises(DomainError, match=f"must be an integer, got {symbol!r}$"):
+        concat_encode_message(desk_params, (symbol, 0, 0))
 
 
 @pytest.mark.parametrize("bad", [11, -1])
@@ -1165,12 +1186,20 @@ def test_params_json_roundtrip(desk_params):
         params_from_json_dict(record)
 
 
-def test_params_json_needs_sampled_inner(desk_params):
-    manual = dataclasses.replace(
-        desk_params, inner=dataclasses.replace(desk_params.inner, seed=None)
-    )
-    with pytest.raises(DomainError):
-        params_to_json_dict(manual)
+@pytest.mark.parametrize(
+    "instance",
+    [DESK, SHARP, DESK_FRACTIONAL, HOST_N6, HOST_N3, HOST_WIDE],
+    ids=["DESK", "SHARP", "DESK_FRACTIONAL", "HOST_N6", "HOST_N3", "HOST_WIDE"],
+)
+def test_params_json_roundtrip_on_every_instance(instance):
+    """The record rebuilds equal params with the same sampled inner words."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        params = make_concat_params(**instance)
+        rebuilt = params_from_json_dict(json.loads(json.dumps(params_to_json_dict(params))))
+    assert rebuilt == params
+    assert rebuilt.inner.words == params.inner.words
+    assert rebuilt.outer == params.outer
 
 
 def test_decode_reports_are_pinned(desk_params, host_n6, desk_fractional):

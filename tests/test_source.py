@@ -147,6 +147,27 @@ def test_concat_decoder_calls_feasibility_and_recovery_by_bare_name():
     assert {"build_windows", "feasible_jN", "brute_force_list_recover"} <= called
 
 
+def test_params_record_is_checked_only_by_concat_params():
+    """The JSON path builds through make_concat_params, and only ConcatParams checks fields.
+
+    perfbench's cli-mix trace requires concat.make_concat_params to
+    fire, so params_from_json_dict calls it by bare name; neither
+    function runs a field through core._whole or core._frac, so each
+    field has one check site.
+    """
+    concat = dict(functions(PACKAGE / "concat.py"))
+    called = {
+        name: {
+            node.func.id
+            for node in ast.walk(concat[f"concat.{name}"])
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        for name in ("make_concat_params", "params_from_json_dict")
+    }
+    assert "make_concat_params" in called["params_from_json_dict"]
+    assert all(not {"_whole", "_frac"} & names for names in called.values())
+
+
 def test_export_list_is_sorted_unique_and_complete():
     """insdel.__all__ names every public non-module attribute once, in order, and each resolves."""
     names = insdel.__all__
