@@ -1,7 +1,5 @@
 """Print the main rate/radius trade-off curves as small tables."""
 
-import numpy as np
-
 from insdel.bounds import (
     ZyablovQuery,
     gv_lower_rate,
@@ -13,9 +11,9 @@ from insdel.bounds import (
 
 print("random codes, worst-case split over gamma + kappa = tau (eps = 0.01)")
 print(f"{'tau':>6}  {'rate q=3':>9}  {'rate q=2':>9}")
-for tau in np.linspace(0.0, 0.3, 7):
-    r3 = random_rate_tau_q3(3, float(tau), 0.01).rate
-    r2 = random_rate_tau_binary(float(tau), 0.01).rate
+for tau in (0.3 * i / 6 for i in range(7)):
+    r3 = random_rate_tau_q3(3, tau, 0.01).rate
+    r2 = random_rate_tau_binary(tau, 0.01).rate
     print(f"{tau:6.2f}  {r3:9.4f}  {r2:9.4f}")
 
 print()

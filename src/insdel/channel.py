@@ -17,13 +17,10 @@ position, then the inserted symbol.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
-from .codes import Seed, check_seed, philox_generator
+from .codes import PhiloxStream, Seed, _seed_sequence_key, check_seed, philox_generator
 from .core import CapacityError, DomainError, ScriptError, Word, _whole
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DELETE = "del"
 INSERT = "ins"
@@ -96,19 +93,19 @@ def apply_script(w: Word, script: EditScript) -> Word:
     return Word(tuple(syms), w.q)
 
 
-def _delete(rng: np.random.Generator, out: list[int], ops: list[tuple], offset: int) -> None:
+def _delete(rng: PhiloxStream, out: list[int], ops: list[tuple], offset: int) -> None:
     """Delete a uniform symbol of out[offset:], recording the op in whole-word coordinates."""
-    pos = offset + int(rng.integers(1, len(out) - offset + 1))
+    pos = offset + rng.integers(1, len(out) - offset + 1)
     del out[pos - 1]
     ops.append((DELETE, pos))
 
 
 def _insert(
-    rng: np.random.Generator, out: list[int], ops: list[tuple], offset: int, q: int
+    rng: PhiloxStream, out: list[int], ops: list[tuple], offset: int, q: int
 ) -> None:
     """Insert a uniform symbol at a uniform gap of out[offset:], drawing the position first."""
-    pos = offset + int(rng.integers(1, len(out) - offset + 2))
-    sym = int(rng.integers(0, q))
+    pos = offset + rng.integers(1, len(out) - offset + 2)
+    sym = rng.integers(0, q)
     out.insert(pos - 1, sym)
     ops.append((INSERT, pos, sym))
 
@@ -141,16 +138,15 @@ def adversarial_block_channel(
 ) -> tuple[Word, EditScript]:
     """Apply an exact per-block edit budget to each length-block_len block.
 
-    Block i gets its own Philox stream keyed by (seed, i), so blocks can
-    be processed independently without changing the outcome.  Each block
+    Block i gets its own Philox stream keyed by numpy's
+    SeedSequence((seed, i)) hash (codes._seed_sequence_key), so blocks
+    can be processed independently without changing the outcome.  Each block
     gets exactly budgets[i] operations (a uniform coin picks delete
     versus insert while deletion is possible), so the realized per-block
     distance never exceeds the budget.  Block i is edited as the tail of
     the output once blocks 0..i-1 are done, so its ops are recorded in
     whole-word coordinates, in left-to-right application order.
     """
-    import numpy as np
-
     check_seed(seed)
     if block_len < 1:
         raise DomainError("block length must be at least 1")
@@ -167,9 +163,11 @@ def adversarial_block_channel(
     for i, b in enumerate(budgets):
         offset = len(out)
         out.extend(c.symbols[i * block_len : (i + 1) * block_len])
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, i))))
+        if not b:
+            continue  # a block with no edits draws nothing, so its stream is not keyed
+        rng = PhiloxStream(_seed_sequence_key(seed, i))
         for _ in range(b):
-            if len(out) > offset and int(rng.integers(0, 2)) == 0:
+            if len(out) > offset and rng.integers(0, 2) == 0:
                 _delete(rng, out, ops, offset)
             else:
                 _insert(rng, out, ops, offset, c.q)

@@ -408,17 +408,17 @@ def concat_roundtrip(params: ConcatParams, seed: int, budget: int) -> dict:
     if budget < 0 or budget > 2 * params.n * params.N:
         raise DomainError(f"budget {budget} outside [0, {2 * params.n * params.N}]")
     rng = philox_generator(seed)
-    message = [int(v) for v in rng.integers(0, params.p, size=params.K)]
+    message = rng.integers(0, params.p, size=params.K)
     sent = concat_encode_message(params, message)
     budgets = [0] * params.N
     cap = 2 * params.n
     remaining = budget
     while remaining > 0:
-        pick = int(rng.integers(0, params.N))
+        pick = rng.integers(0, params.N)
         if budgets[pick] < cap:
             budgets[pick] += 1
             remaining -= 1
-    channel_seed = int(rng.integers(0, 2**63))
+    channel_seed = rng.integers(0, 2**63)
     received, script = adversarial_block_channel(sent, params.n, budgets, channel_seed)
     report: dict = {
         "seed": seed,

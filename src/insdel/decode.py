@@ -27,7 +27,8 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .bounds import _fixed_split_rate, large_q_list_size
-from .codes import Code, Seed, _is_prime, _linear_span, philox_generator, sample_random_code
+from .codes import Code, PhiloxStream, Seed, _is_prime, _linear_span, philox_generator
+from .codes import sample_random_code
 from .core import CapacityError, DomainError, FractionLike, Word, _PlaneTable, _flagged_lanes
 from .core import _frac, _lane_agreements, _lane_budget, _lane_gate, _lane_width, _lcs_steps
 from .core import _packed_match_table, _packed_plane_table, _power_exceeds, format_word
@@ -36,7 +37,7 @@ from .core import _whole, insdel_distance
 _CERTIFY_CENTER_LIMIT = 10 ** 7
 _RECOVER_SPAN_LIMIT = 10 ** 6
 _RECOVER_SYMBOL_LIMIT = 10 ** 7
-_INT64_DRAW_LIMIT = 2 ** 63  # largest exclusive bound rng.integers takes
+_INT64_DRAW_LIMIT = 2 ** 63  # largest exclusive bound numpy's int64 integers takes
 
 PositionLists = Sequence[frozenset[int]]
 
@@ -147,14 +148,15 @@ def _admissible_lengths(n: int, tau_n: int) -> range:
     return range(max(0, n - tau_n), n + tau_n + 1)
 
 
-def _draw_below(rng, total: int) -> int:
+def _draw_below(rng: PhiloxStream, total: int) -> int:
     """Uniform integer in [0, total), exact for any positive total.
 
     Totals within numpy's int64 range keep the ``rng.integers`` stream;
-    larger ones are drawn from whole random bytes with rejection.
+    larger ones are drawn from whole random bytes with rejection.  The
+    split is part of the seeded stream, so it stays at 2**63.
     """
     if total <= _INT64_DRAW_LIMIT:
-        return int(rng.integers(0, total))
+        return rng.integers(0, total)
     nbits = total.bit_length()
     nbytes = (nbits + 7) // 8
     while True:
@@ -232,7 +234,7 @@ def certify_list_decodable(
     ends = list(itertools.accumulate(q ** m for m in lengths))
     for _ in range(samples):
         m = lengths[bisect.bisect_right(ends, _draw_below(rng, ends[-1]))]
-        center = tuple(rng.integers(0, q, size=m).tolist())
+        center = tuple(rng.integers(0, q, size=m))
         if violates(center):
             return CertifyResult(ok=False, witness=Word(center, q))
     return CertifyResult(ok=True, witness=None)
@@ -269,8 +271,8 @@ def monte_carlo_rate_experiment(
     failures = 0
     witnesses: list[str] = []
     for _ in range(trials):
-        code_seed = int(master.integers(0, 2 ** 63))
-        certify_seed = int(master.integers(0, 2 ** 63))
+        code_seed = master.integers(0, 2 ** 63)
+        certify_seed = master.integers(0, 2 ** 63)
         code = sample_random_code(q, n, size, code_seed)
         result = certify_list_decodable(
             code, radius, L, mode="sampled", samples=samples, seed=certify_seed
@@ -331,20 +333,21 @@ def brute_force_list_recover(
     core._whole) in the field.  alpha is taken as an exact
     rational, so a codeword is kept when it agrees on at least
     ceil(alpha*N) positions.  When ell is given, the total list mass
-    sum(|A_i|) is checked against it up front, before the codebook is
-    built; a code past the recovery limits raises CapacityError.
+    sum(|A_i|) is checked against it up front, before any symbol is
+    checked or the codebook built; a code past the recovery limits
+    raises CapacityError.
     """
     exact = _frac(alpha, "alpha")
     if not 0 <= exact <= 1:
         raise DomainError(f"agreement fraction {alpha} outside [0,1]")
     if len(lists) != code.n:
         raise DomainError(f"got {len(lists)} position lists for N={code.n}")
-    for i, entries in enumerate(lists):
-        if any(not 0 <= _whole(s, "a position list symbol") < code.p for s in entries):
-            raise DomainError(f"position list {i} holds symbols outside the field")
     mass = sum(len(entries) for entries in lists)
     if ell is not None and mass > ell:
         raise DomainError(f"total list mass {mass} exceeds the budget ell = {ell}")
+    for i, entries in enumerate(lists):
+        if any(not 0 <= _whole(s, "a position list symbol") < code.p for s in entries):
+            raise DomainError(f"position list {i} holds symbols outside the field")
     table = code.codebook_planes
     threshold = math.ceil(exact * code.n)
     (addend,), top = _lane_gate(table, [code.n - threshold])

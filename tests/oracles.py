@@ -5,7 +5,9 @@ LCS reference is a full-matrix dynamic program, the feasibility scan
 walks the per-position gates one at a time, list recovery and the
 codebook references evaluate every message on its own, and the
 batched LCS is a numpy re-derivation used where exhaustive sweeps
-would otherwise be too slow to run inside a test.
+would otherwise be too slow to run inside a test.  numpy is imported
+only inside the functions that use it, so importing this module (as
+the benchmark's set-up does) does not load it.
 """
 
 from __future__ import annotations
@@ -13,11 +15,13 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from insdel.bounds import random_rate_binary, random_rate_q3
 from insdel.concat import Window
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DESK = dict(
     N=8,
@@ -150,6 +154,8 @@ def all_tuples(q: int, length: int):
 
 def word_matrix(q: int, length: int) -> np.ndarray:
     """All of the length-`length` space as a (q**length, length) int16 array."""
+    import numpy as np
+
     if length == 0:
         return np.zeros((1, 0), dtype=np.int16)
     return np.array(list(all_tuples(q, length)), dtype=np.int16)
@@ -157,6 +163,8 @@ def word_matrix(q: int, length: int) -> np.ndarray:
 
 def batched_lcs(center, words: np.ndarray) -> np.ndarray:
     """LCS of one center against every row of a (K, n) array at once."""
+    import numpy as np
+
     count, n = words.shape
     prev = np.zeros((count, n + 1), dtype=np.int16)
     row = np.zeros((count, n + 1), dtype=np.int16)
@@ -178,6 +186,8 @@ def segment_grid_min_q3(q, tau, epsilon, points=10_001):
     The pointwise rate functions are pinned elsewhere against a
     high-precision oracle; here they anchor the optimizer's grid search.
     """
+    import numpy as np
+
     lo = max(0.0, tau - (q - 1) / q + 1e-12)
     hi = min(tau, q - 1 - 1e-12)
     best = math.inf
@@ -187,6 +197,8 @@ def segment_grid_min_q3(q, tau, epsilon, points=10_001):
 
 
 def segment_grid_min_binary(tau, epsilon, points=10_001):
+    import numpy as np
+
     lo = max(0.0, tau - 0.5 + 1e-12)
     hi = min(tau, 1.0 - 1e-12)
     best = math.inf
@@ -197,6 +209,8 @@ def segment_grid_min_binary(tau, epsilon, points=10_001):
 
 def _entropy_vec(q: int, x: np.ndarray) -> np.ndarray:
     """Vectorized q-ary entropy, zero at the endpoints."""
+    import numpy as np
+
     x = np.clip(x, 0.0, 1.0)
     out = np.zeros_like(x)
     inner = (x > 0) & (x < 1)
@@ -210,6 +224,8 @@ def _entropy_vec(q: int, x: np.ndarray) -> np.ndarray:
 
 def _raw_rate_vec(q: int, gamma: np.ndarray, kappa: np.ndarray) -> np.ndarray:
     """Vectorized raw rate (epsilon = 0) along a gamma/kappa mesh."""
+    import numpy as np
+
     if q == 2:
         a = 1 + gamma - kappa
         theta = (1 + 2 * gamma - kappa) / 8 + np.sqrt(
@@ -248,6 +264,8 @@ def dense_zyablov_tau(
     (1 - R_out) * f_inverse(R / R_out) objective is maximized on an
     R_out mesh.  Everything is plain grid arithmetic, no refinement.
     """
+    import numpy as np
+
     hi_tau = 1.0 if q == 2 else min(2.0, (q - 1) + (q - 1) / q - 1e-9)
     kappa_sup = (q - 1) / q - 1e-12
     taus = np.linspace(0.0, hi_tau, tau_points)

@@ -333,14 +333,12 @@ def test_c08_concat_end_to_end(desk_params):
     contained = 0
     for seed in range(100):
         rng = philox_generator(seed)
-        message = [
-            int(v) for v in rng.integers(0, desk_params.outer.p, size=desk_params.outer.k)
-        ]
+        message = rng.integers(0, desk_params.outer.p, size=desk_params.outer.k)
         sent = concat_encode_message(desk_params, message)
         budgets = [0] * desk_params.N
         remaining = budget
         while remaining:
-            pick = int(rng.integers(0, desk_params.N))
+            pick = rng.integers(0, desk_params.N)
             if budgets[pick] < 2 * desk_params.n:
                 budgets[pick] += 1
                 remaining -= 1

@@ -624,11 +624,44 @@ def test_sampled_certify_beyond_int64_centers(tmp_path):
 def test_cli_import_loads_neither_numpy_nor_scipy():
     # Nor the committed Zyablov knots, which only a Zyablov curve reads.
     heavy = "{'numpy', 'scipy', 'insdel._zyablov_knots'}"
-    for module in ("insdel.cli", "insdel"):
-        probe = f"import {module}, sys; print(sorted({heavy} & set(sys.modules)))"
+    # Seeded sampling and the block channel draw from the standard-library stream.
+    draws = (
+        "insdel.sample_random_code(3, 6, 20, 1); "
+        "insdel.adversarial_block_channel(insdel.word((0, 1, 2, 0), 3), 2, [2, 1], 5); "
+    )
+    for module, run in (("insdel.cli", ""), ("insdel", ""), ("insdel", draws)):
+        probe = f"import {module}, sys; {run}print(sorted({heavy} & set(sys.modules)))"
         result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        assert result.stdout == "[]\n", module
+        assert result.stdout == "[]\n", (module, run)
+
+
+# Blocks numpy outright: an import of it anywhere raises ImportError.
+_WITHOUT_NUMPY = (
+    "import sys; sys.modules['numpy'] = None; from insdel.cli import main; sys.exit(main())"
+)
+
+
+def test_seeded_subcommands_run_without_numpy(tmp_path, desk_params_file):
+    code_file = tmp_path / "code.json"
+    made = run_cli(
+        "sample", "-q", "2", "-n", "7", "-M", "8", "--seed", "3", "--json", "--out", str(code_file)
+    )
+    assert made.returncode == 0, made.stderr
+    for argv in (
+        ("sample", "-q", "3", "-n", "9", "-M", "40", "--seed", "11", "--digest"),
+        ("certify", "--code-file", str(code_file), "--tau-n", "2", "-L", "4", "--mode", "sampled",
+         "--samples", "300", "--seed", "5"),
+        ("channel", "-q", "2", "--word", "0110", "--ins", "2", "--del", "1", "--seed", "9"),
+        ("channel", "-q", "3", "--word", "012012", "--block-len", "3", "--budgets", "2,3",
+         "--seed", "4"),
+        ("concat-roundtrip", "--params", desk_params_file, "--seed", "7", "--budget", "16"),
+    ):
+        blocked = subprocess.run(
+            [sys.executable, "-c", _WITHOUT_NUMPY, *argv], capture_output=True, text=True
+        )
+        assert blocked.returncode == 0, (argv, blocked.stderr)
+        assert blocked.stdout == run_cli(*argv).stdout, argv
 
 
 def test_seeded_subcommands_are_byte_identical():

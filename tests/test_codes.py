@@ -9,6 +9,7 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,6 +19,8 @@ from insdel.bounds import singleton_max_size
 from insdel.codes import (
     Code,
     LinearCode,
+    PhiloxStream,
+    _seed_sequence_key,
     code_digest,
     code_stats,
     code_to_json_dict,
@@ -49,6 +52,90 @@ def test_philox_generator_is_deterministic():
     assert list(a) == list(b)
     c = philox_generator(6).integers(0, 1000, size=8)
     assert list(a) != list(c)
+
+
+# Ranges r = high - 1 - low at every branch of numpy's bounded draw: none
+# drawn, 32-bit Lemire up to 2**32 - 2, the raw half, 64-bit Lemire (which
+# rejects about a quarter of its draws at r = 2**62).
+_RANGE_EDGES = (0, 1, 2 ** 32 - 2, 2 ** 32 - 1, 2 ** 32, 2 ** 62, 2 ** 63 - 1)
+_INT64_TOP = 2 ** 63
+
+
+def _scalar_or_vector_draw():
+    def build(low, r, size):
+        low = min(low, _INT64_TOP - 1 - r)
+        return ("integers", low, low + r + 1, size)
+
+    return st.builds(
+        build,
+        st.integers(-(2 ** 20), 2 ** 20),
+        st.sampled_from(_RANGE_EDGES) | st.integers(0, 2 ** 40) | st.integers(0, _INT64_TOP - 1),
+        st.none() | st.integers(0, 40),
+    )
+
+
+_STREAM_OPS = st.lists(
+    st.one_of(
+        _scalar_or_vector_draw(),
+        # q = 2**31 + 1 rejects about half of its 32-bit draws.
+        st.builds(
+            lambda size: ("integers", 0, 2 ** 31 + 1, size), st.none() | st.integers(0, 3000)
+        ),
+        st.builds(lambda n: ("bytes", n), st.integers(0, 41)),
+    ),
+    max_size=25,
+)
+
+
+def _run_ops(rng, ops, reference: bool) -> list:
+    out = []
+    for op in ops:
+        if op[0] == "bytes":
+            out.append(rng.bytes(op[1]))
+            continue
+        _, low, high, size = op
+        got = rng.integers(low, high, size=size)
+        out.append((int(got) if size is None else got.tolist()) if reference else got)
+    return out
+
+
+@given(
+    seed=st.integers(0, 2 ** 128 - 1),
+    halves_first=st.integers(0, 3),
+    ops=_STREAM_OPS,
+)
+def test_philox_stream_matches_numpy_draw_for_draw(seed, halves_first, ops):
+    # A few 32-bit draws, then 64-bit ones (after an odd count, a high half
+    # is buffered and must survive them; r = 2**62 rejects about a quarter),
+    # then a mixed sequence.
+    head = [("integers", 0, 7, None)] * halves_first + [("integers", 0, 2 ** 62 + 1, None)] * 4
+    ops = head + ops
+    reference = np.random.Generator(np.random.Philox(key=seed))
+    assert _run_ops(philox_generator(seed), ops, False) == _run_ops(reference, ops, True)
+
+
+@given(
+    seed=st.just(0) | st.integers(1, 2 ** 64 - 1) | st.integers(2 ** 96, 2 ** 128 - 1),
+    block=st.integers(0, 2 ** 40),
+)
+def test_seed_sequence_key_matches_numpy(seed, block):
+    # Seeds from 2**96 have four entropy words, so with the block index the
+    # entropy runs past the four-word pool.
+    state = np.random.SeedSequence((seed, block)).generate_state(2, np.uint64)
+    key = _seed_sequence_key(seed, block)
+    assert key == int(state[0]) | int(state[1]) << 64
+    reference = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, block))))
+    assert PhiloxStream(key).integers(0, 5, size=40) == reference.integers(0, 5, size=40).tolist()
+
+
+def test_philox_stream_refuses_what_numpy_refuses():
+    # An empty range, or one past numpy's default int64 dtype.
+    reference = np.random.Generator(np.random.Philox(key=3))
+    for low, high in ((3, 3), (4, 2), (0, 2 ** 63 + 1), (-(2 ** 63) - 1, 0)):
+        with pytest.raises(ValueError):
+            reference.integers(low, high)
+        with pytest.raises(ValueError):
+            philox_generator(3).integers(low, high)
 
 
 def test_philox_generator_seed_range():

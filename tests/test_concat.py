@@ -87,12 +87,12 @@ def full_budget_channel(params: ConcatParams, seed: int):
     sent and the received word.
     """
     rng = philox_generator(seed)
-    message = [int(v) for v in rng.integers(0, params.outer.p, size=params.outer.k)]
+    message = rng.integers(0, params.outer.p, size=params.outer.k)
     sent = concat_encode_message(params, message)
     budgets = [0] * params.N
     remaining = params.radius
     while remaining:
-        pick = int(rng.integers(0, params.N))
+        pick = rng.integers(0, params.N)
         if budgets[pick] < 2 * params.n:
             budgets[pick] += 1
             remaining -= 1

@@ -4,6 +4,7 @@ import itertools
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -143,7 +144,7 @@ def sampled_centers(q, lengths, seed, samples):
             if ticket < weight:
                 break
             ticket -= weight
-        yield tuple(int(v) for v in rng.integers(0, q, size=m))
+        yield tuple(rng.integers(0, q, size=m))
 
 
 def check_certify_against_double_loop(code, tau_n, L, seed, samples):
@@ -197,7 +198,7 @@ def test_certify_edge_cases_match_double_loop(code, tau_n, L):
 def test_draw_below_keeps_int64_stream_and_covers_big_totals():
     # Up to 2**63 the draw is numpy's own, so sampled streams stay pinned.
     for total in (1, 7, 2 ** 63):
-        mine, ref = philox_generator(5), philox_generator(5)
+        mine, ref = philox_generator(5), np.random.Generator(np.random.Philox(key=5))
         assert [_draw_below(mine, total) for _ in range(8)] == [
             int(ref.integers(0, total)) for _ in range(8)
         ]
@@ -347,6 +348,25 @@ def test_list_recover_mass_budget():
     brute_force_list_recover(code, lists, alpha=0.5, ell=3)
     with pytest.raises(DomainError):
         brute_force_list_recover(code, lists, alpha=0.5, ell=2)
+
+
+def test_list_recover_refuses_the_mass_before_checking_symbols(monkeypatch):
+    """An over-budget list is refused from its sizes alone, with no symbol checked."""
+    code = RSCode(p=5, k=2, points=(0, 1, 2, 3))
+    calls = []
+    real_whole = decode._whole
+
+    def counting_whole(value, what):
+        calls.append(value)
+        return real_whole(value, what)
+
+    monkeypatch.setattr(decode, "_whole", counting_whole)
+    lists = [frozenset({1, 2}), frozenset({0, 4}), frozenset({3}), frozenset()]
+    with pytest.raises(DomainError, match="^total list mass 5 exceeds the budget ell = 4$"):
+        brute_force_list_recover(code, lists, alpha=0.5, ell=4)
+    assert calls == []
+    brute_force_list_recover(code, lists, alpha=0.5, ell=5)
+    assert sorted(calls) == [0, 1, 2, 3, 4]
 
 
 def test_list_recover_capacity_guard():
