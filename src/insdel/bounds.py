@@ -33,10 +33,12 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import cache, lru_cache, partial
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .codes import Code
 from .core import DomainError, OutOfRegimeError, RegimeWarning, Word, _frac
+
+if TYPE_CHECKING:
+    from .codes import Code
 
 _DEFAULT_GRID = 2048
 _TABLE_KNOTS = 1024
@@ -659,6 +661,8 @@ def sparse_gv_code(q: int, n: int, delta: float) -> Code:
     Pairwise insdel distance is exactly 2*floor(delta*n).  A non-integer
     delta*n is floored with a warning.
     """
+    from .codes import Code
+
     if q < 2 or n < 1:
         raise DomainError("need q >= 2 and n >= 1")
     if not (q - 1) / q < delta < 1:

@@ -8,47 +8,21 @@ deterministic: randomized subcommands demand an explicit --seed, and
 identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 2 usage or file error, 3 domain error, 4 capacity error.
+
+Only core is imported with this module.  Each handler imports the
+modules it runs (json included) when it runs, and looks their functions
+up at call time, so a subcommand loads nothing it does not use.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .bounds import (
-    RatePoint,
-    ZyablovQuery,
-    gv_lower_rate,
-    gv_lower_rate_raw,
-    large_q_rate,
-    random_rate_tau_binary,
-    random_rate_tau_q3,
-    rate_deletion_only,
-    rate_insertion_only,
-    zyablov_tau,
-)
-from .channel import adversarial_block_channel, random_channel
-from .codes import (
-    Code,
-    code_digest,
-    code_stats,
-    code_to_json_dict,
-    greedy_gv_code,
-    philox_generator,
-    sample_random_linear_code,
-    sample_word_sequence,
-)
-from .concat import (
-    ConcatParams,
-    concat_encode,
-    concat_encode_message,
-    list_decode_concat_detailed,
-    params_from_json_dict,
-)
 from .core import (
     CapacityError,
     DomainError,
@@ -61,13 +35,11 @@ from .core import (
     parse_word,
     run_profile,
 )
-from .decode import certify_list_decodable
-from .spheres import (
-    BallQuery,
-    enumerate_ball_fixed_length,
-    enumerate_deletion_sphere,
-    enumerate_insertion_sphere,
-)
+
+if TYPE_CHECKING:
+    from .bounds import RatePoint
+    from .codes import Code
+    from .concat import ConcatParams
 
 CURVE_KINDS = (
     "singleton",
@@ -117,6 +89,8 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 
 def _emit_json(args: argparse.Namespace, payload: dict) -> None:
+    import json
+
     _emit(args, json.dumps(payload, indent=2) + "\n")
 
 
@@ -147,6 +121,8 @@ def cmd_runs(args: argparse.Namespace) -> int:
 
 
 def cmd_sphere(args: argparse.Namespace) -> int:
+    from .spheres import enumerate_deletion_sphere, enumerate_insertion_sphere
+
     center = parse_word(args.center, args.q)
     if args.kind == "insertion":
         words = enumerate_insertion_sphere(center, args.radius)
@@ -158,6 +134,8 @@ def cmd_sphere(args: argparse.Namespace) -> int:
 
 
 def cmd_ball(args: argparse.Namespace) -> int:
+    from .spheres import BallQuery, enumerate_ball_fixed_length
+
     center = parse_word(args.center, args.q)
     query = BallQuery(center=center, radius=args.radius, target_len=args.length)
     words = enumerate_ball_fixed_length(query, mode=args.mode)
@@ -166,29 +144,33 @@ def cmd_ball(args: argparse.Namespace) -> int:
     return 0
 
 
-def _curve_point(req: CurveRequest, x: float) -> RatePoint:
+def _curve_point(req: CurveRequest, x: float, bounds) -> RatePoint:
     if req.kind == "singleton":
-        return RatePoint(x=x, rate=max(0.0, 1.0 - x), raw=1.0 - x)
+        return bounds.RatePoint(x=x, rate=max(0.0, 1.0 - x), raw=1.0 - x)
     if req.kind == "gv":
-        return RatePoint(x=x, rate=gv_lower_rate(req.q, x), raw=gv_lower_rate_raw(req.q, x))
+        return bounds.RatePoint(
+            x=x, rate=bounds.gv_lower_rate(req.q, x), raw=bounds.gv_lower_rate_raw(req.q, x)
+        )
     if req.kind == "random_q3":
-        return random_rate_tau_q3(req.q, x, req.epsilon)
+        return bounds.random_rate_tau_q3(req.q, x, req.epsilon)
     if req.kind == "random_binary":
-        return random_rate_tau_binary(x, req.epsilon)
+        return bounds.random_rate_tau_binary(x, req.epsilon)
     if req.kind == "insertion_only":
-        return rate_insertion_only(req.q, x, req.epsilon)
+        return bounds.rate_insertion_only(req.q, x, req.epsilon)
     if req.kind == "deletion_only":
-        return rate_deletion_only(req.q, x, req.epsilon)
+        return bounds.rate_deletion_only(req.q, x, req.epsilon)
     if req.kind == "large_q":
-        return large_q_rate(x, req.epsilon)
-    point = zyablov_tau(ZyablovQuery(q=req.q, R=x, epsilon=req.epsilon))
-    return RatePoint(
+        return bounds.large_q_rate(x, req.epsilon)
+    point = bounds.zyablov_tau(bounds.ZyablovQuery(q=req.q, R=x, epsilon=req.epsilon))
+    return bounds.RatePoint(
         x=x, rate=max(0.0, point.tau), raw=point.tau, list_size_class="polynomial"
     )
 
 
 def render_curve(req: CurveRequest) -> str:
     """CSV text for a sweep; per-row domain failures land in the flag column."""
+    from . import bounds
+
     rows = [CSV_HEADER]
     span = req.stop - req.start
     for i in range(req.steps):
@@ -197,7 +179,7 @@ def render_curve(req: CurveRequest) -> str:
         with warnings.catch_warnings(record=True) as captured:
             warnings.simplefilter("always")
             try:
-                point = _curve_point(req, x)
+                point = _curve_point(req, x, bounds)
             except DomainError:
                 rows.append(f"{x:.6f},,,,domain_error")
                 continue
@@ -223,6 +205,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_gv_greedy(args: argparse.Namespace) -> int:
+    from .codes import code_stats, greedy_gv_code
+
     code = greedy_gv_code(args.q, args.n, args.d)
     stats = code_stats(code)
     _emit_json(
@@ -242,6 +226,14 @@ def cmd_gv_greedy(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    from .codes import (
+        Code,
+        code_digest,
+        code_to_json_dict,
+        sample_random_linear_code,
+        sample_word_sequence,
+    )
+
     if args.linear:
         if args.k is None:
             raise DomainError("--linear needs a dimension -k")
@@ -263,6 +255,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def _load_json_object(path: str) -> dict:
     """Read a JSON object; OSError (exit 2) if unreadable, DomainError if not an object."""
+    import json
+
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -274,6 +268,8 @@ def _load_json_object(path: str) -> dict:
 
 
 def _load_code(path: str) -> Code:
+    from .codes import Code
+
     data = _load_json_object(path)
     try:
         q = _whole(data["q"], "code file has a malformed field: q")
@@ -289,6 +285,8 @@ def _load_code(path: str) -> Code:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
+    from .decode import certify_list_decodable
+
     code = _load_code(args.code_file)
     ok, witness = certify_list_decodable(
         code,
@@ -314,6 +312,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_channel(args: argparse.Namespace) -> int:
+    from .channel import adversarial_block_channel, random_channel
+
     w = parse_word(args.word, args.q)
     if args.budgets is not None:
         if args.block_len is None:
@@ -339,6 +339,8 @@ def cmd_channel(args: argparse.Namespace) -> int:
 
 
 def _load_params(path: str) -> ConcatParams:
+    from .concat import params_from_json_dict
+
     return params_from_json_dict(_load_json_object(path))
 
 
@@ -369,6 +371,8 @@ def _parse_symbols(text: str) -> list[int]:
 
 
 def cmd_concat_encode(args: argparse.Namespace) -> int:
+    from .concat import concat_encode, concat_encode_message
+
     params = _load_params(args.params)
     if (args.message is None) == (args.outer is None):
         raise DomainError("give exactly one of --message or --outer")
@@ -381,6 +385,8 @@ def cmd_concat_encode(args: argparse.Namespace) -> int:
 
 
 def cmd_concat_decode(args: argparse.Namespace) -> int:
+    from .concat import list_decode_concat_detailed
+
     params = _load_params(args.params)
     received = parse_word(args.word, params.q)
     report = list_decode_concat_detailed(params, received)
@@ -405,6 +411,10 @@ def concat_roundtrip(params: ConcatParams, seed: int, budget: int) -> dict:
     reported, not asserted, since budgets beyond the decoder's
     guarantee are allowed.
     """
+    from .channel import adversarial_block_channel
+    from .codes import philox_generator
+    from .concat import concat_encode_message, list_decode_concat_detailed
+
     if budget < 0 or budget > 2 * params.n * params.N:
         raise DomainError(f"budget {budget} outside [0, {2 * params.n * params.N}]")
     rng = philox_generator(seed)

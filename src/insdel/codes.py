@@ -11,7 +11,6 @@ against numpy itself, and tests pin content digests of sampled codes.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import math
 import struct
@@ -531,6 +530,8 @@ def code_stats(c: Code) -> CodeStats:
 
 def code_digest(c: Code) -> str:
     """Stable content hash of a code (sha256 over the canonical listing)."""
+    import hashlib  # loads OpenSSL; only a digest needs it
+
     payload = "\n".join(
         [f"q={c.q}", f"n={c.n}"] + [format_word(w) for w in c.sorted_words()]
     )

@@ -73,7 +73,7 @@ from .codes import Seed, check_seed, sample_word_sequence
 from .core import BoundViolationError, CapacityError, DomainError, RegimeWarning, Word
 from .core import FractionLike, _LaneTable, _flagged_lanes, _frac, _gram_keys
 from .core import _gram_table, _lane_budget, _lane_gate, _lane_width, _lcs_steps, _pack_lanes
-from .core import _packed_match_table, _repeat_groups, _split_groups, _whole, insdel_distance
+from .core import _packed_match_table, _repeat_groups, _split_groups, _whole
 from .decode import RSCode, _check_recovery_size, brute_force_list_recover, rs_encode
 
 # ConcatParams refuses an inner encoder of more symbols than this
@@ -139,27 +139,6 @@ class InnerEncoder:
                 f"outer symbol {sym} outside [0, {self.symbol_count})"
             )
         return self.words[(index - 1) * self.symbol_count + sym]
-
-
-@dataclass(frozen=True, order=True)
-class Window:
-    """A candidate subword of the received word, on the alignment grid.
-
-    phi and the nominal length lam/mu describe grid coordinates: the
-    window starts at offset phi = lam * step and nominally spans
-    mu * step symbols.  lambda_len is the extractable length after
-    clipping at the right edge of the received word; feasibility
-    arithmetic keeps using the nominal mu.
-    """
-
-    phi: int
-    lambda_len: int
-    lam: int
-    mu: int
-
-    def __post_init__(self) -> None:
-        if self.phi < 0 or self.lambda_len < 0 or self.lam < 0 or self.mu < 0:
-            raise DomainError("window coordinates must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -564,31 +543,6 @@ def build_windows(params: ConcatParams, M: int) -> WindowGrid:
     return grid
 
 
-def align_window(sp: int, length: int, tau_hat_n: int) -> Window:
-    """Snap an arbitrary subword to the alignment grid.
-
-    The returned grid window's content differs from the original
-    subword's content by at most tau_hat_n insdel operations: depending
-    on where the fractional parts of the start and length fall, the grid
-    window either contains the subword (stretch by one step) or is
-    contained in it (shrink by one step).  Exact grid multiples are
-    returned unchanged.
-    """
-    if sp < 0 or length < 0:
-        raise DomainError("start offset and length must be nonnegative")
-    if tau_hat_n < 1:
-        raise DomainError("grid step must be a positive integer")
-    sp_whole, sp_rem = divmod(sp, tau_hat_n)
-    len_whole, len_rem = divmod(length, tau_hat_n)
-    if sp_rem == 0 and len_rem == 0:
-        return Window(phi=sp, lambda_len=length, lam=sp_whole, mu=len_whole)
-    if sp_rem + len_rem < tau_hat_n:
-        lam, mu = sp_whole, len_whole + 1
-    else:
-        lam, mu = sp_whole + 1, len_whole
-    return Window(phi=lam * tau_hat_n, lambda_len=mu * tau_hat_n, lam=lam, mu=mu)
-
-
 def feasible_jN(lam: int, mu: int, params: ConcatParams, M: int) -> range:
     """Zero-based block positions a window can speak about.
 
@@ -757,38 +711,6 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
 def list_decode_concat(params: ConcatParams, r: Word) -> list[Word]:
     """All concatenated codewords the window-scan decoder can account for."""
     return list(list_decode_concat_detailed(params, r).codewords)
-
-
-def good_index_count(
-    c: Word,
-    r: Word,
-    params: ConcatParams,
-    segment_lengths: Sequence[int],
-) -> int:
-    """Blocks whose received segment stayed within tau_star * n edits.
-
-    The segmentation of r is supplied by the caller (a test harness that
-    knows the true edit script); segment_lengths must cover r exactly
-    with one segment per block.
-    """
-    if len(c) != params.n * params.N:
-        raise DomainError("sent word length must be n * N")
-    if len(segment_lengths) != params.N:
-        raise DomainError(f"need {params.N} segment lengths, got {len(segment_lengths)}")
-    if any(length < 0 for length in segment_lengths):
-        raise DomainError("segment lengths must be nonnegative")
-    if sum(segment_lengths) != len(r):
-        raise DomainError("segment lengths must cover the received word exactly")
-    threshold = params.tau_star * params.n
-    good = 0
-    pos = 0
-    for i in range(params.N):
-        block = c[i * params.n : (i + 1) * params.n]
-        segment = r[pos : pos + segment_lengths[i]]
-        pos += segment_lengths[i]
-        if insdel_distance(block, segment) <= threshold:
-            good += 1
-    return good
 
 
 def concat_stats(params: ConcatParams) -> dict:

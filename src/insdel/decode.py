@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .bounds import _fixed_split_rate, large_q_list_size
 from .codes import Code, PhiloxStream, Seed, _is_prime, _linear_span, philox_generator
 from .codes import sample_random_code
 from .core import CapacityError, DomainError, FractionLike, Word, _PlaneTable, _flagged_lanes
@@ -258,6 +257,8 @@ def monte_carlo_rate_experiment(
     formula, the radius is floor((gamma+kappa)*n), and the list size is
     the ceil((1+tau)/epsilon) - 1 rule.
     """
+    from .bounds import _fixed_split_rate, large_q_list_size
+
     if trials < 1:
         raise DomainError("need at least one trial")
     if epsilon <= 0:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .bounds import entropy_q
 from .core import (
     CapacityError,
     DomainError,
@@ -255,6 +254,8 @@ def ball_size_upper_bound(
         )
     g = (radius - n + m) / 2
     base = 2 * profile.w - profile.t if q >= 3 else 2 * (profile.w - profile.t) + 2
+    from .bounds import entropy_q
+
     exponent = slack * (math.log(n) / math.log(q))
     if g > 0:
         exponent += (base + g) * entropy_q(q, min(1.0, g / (base + g)))

@@ -8,17 +8,22 @@ batched LCS is a numpy re-derivation used where exhaustive sweeps
 would otherwise be too slow to run inside a test.  numpy is imported
 only inside the functions that use it, so importing this module (as
 the benchmark's set-up does) does not load it.
+
+It also holds the harness helpers that only tests use: the Window
+record, align_window (the alignment lemma C09 checks) and
+good_index_count, which needs the true segmentation of a received word.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from insdel.bounds import random_rate_binary, random_rate_q3
-from insdel.concat import Window
+from insdel.core import DomainError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -379,6 +384,79 @@ def linear_span_ref(p: int, n: int, rows) -> list[tuple[int, ...]]:
             syms = [(s + c * v) % p for s, v in zip(syms, row)]
         out.append(tuple(syms))
     return out
+
+
+@dataclass(frozen=True, order=True)
+class Window:
+    """A candidate subword of the received word, on the alignment grid.
+
+    phi and the nominal length lam/mu describe grid coordinates: the
+    window starts at offset phi = lam * step and nominally spans
+    mu * step symbols.  lambda_len is the extractable length after
+    clipping at the right edge of the received word; feasibility
+    arithmetic keeps using the nominal mu.
+    """
+
+    phi: int
+    lambda_len: int
+    lam: int
+    mu: int
+
+    def __post_init__(self) -> None:
+        if self.phi < 0 or self.lambda_len < 0 or self.lam < 0 or self.mu < 0:
+            raise DomainError("window coordinates must be nonnegative")
+
+
+def align_window(sp: int, length: int, tau_hat_n: int) -> Window:
+    """Snap an arbitrary subword to the alignment grid.
+
+    The returned grid window's content differs from the original
+    subword's content by at most tau_hat_n insdel operations: depending
+    on where the fractional parts of the start and length fall, the grid
+    window either contains the subword (stretch by one step) or is
+    contained in it (shrink by one step).  Exact grid multiples are
+    returned unchanged.
+    """
+    if sp < 0 or length < 0:
+        raise DomainError("start offset and length must be nonnegative")
+    if tau_hat_n < 1:
+        raise DomainError("grid step must be a positive integer")
+    sp_whole, sp_rem = divmod(sp, tau_hat_n)
+    len_whole, len_rem = divmod(length, tau_hat_n)
+    if sp_rem == 0 and len_rem == 0:
+        return Window(phi=sp, lambda_len=length, lam=sp_whole, mu=len_whole)
+    if sp_rem + len_rem < tau_hat_n:
+        lam, mu = sp_whole, len_whole + 1
+    else:
+        lam, mu = sp_whole + 1, len_whole
+    return Window(phi=lam * tau_hat_n, lambda_len=mu * tau_hat_n, lam=lam, mu=mu)
+
+
+def good_index_count(c, r, params, segment_lengths: Sequence[int]) -> int:
+    """Blocks whose received segment stayed within tau_star * n edits.
+
+    The segmentation of r is supplied by the caller (a harness that
+    knows the true edit script); segment_lengths must cover r exactly
+    with one segment per block.
+    """
+    if len(c) != params.n * params.N:
+        raise DomainError("sent word length must be n * N")
+    if len(segment_lengths) != params.N:
+        raise DomainError(f"need {params.N} segment lengths, got {len(segment_lengths)}")
+    if any(length < 0 for length in segment_lengths):
+        raise DomainError("segment lengths must be nonnegative")
+    if sum(segment_lengths) != len(r):
+        raise DomainError("segment lengths must cover the received word exactly")
+    threshold = params.tau_star * params.n
+    good = 0
+    pos = 0
+    for i in range(params.N):
+        block = c.symbols[i * params.n : (i + 1) * params.n]
+        segment = r.symbols[pos : pos + segment_lengths[i]]
+        pos += segment_lengths[i]
+        if distance_ref(block, segment) <= threshold:
+            good += 1
+    return good
 
 
 def windows_ref(params, M: int) -> set:

@@ -30,7 +30,6 @@ from insdel.bounds import (
 from insdel.channel import adversarial_block_channel
 from insdel.codes import code_to_json_dict, philox_generator, sample_random_code
 from insdel.concat import (
-    align_window,
     concat_encode_message,
     feasible_jN,
     list_decode_concat_detailed,
@@ -56,6 +55,7 @@ from insdel.spheres import (
 )
 from oracles import (
     HOST_N6,
+    align_window,
     all_tuples,
     ball_bound_ref,
     batched_lcs,

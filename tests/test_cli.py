@@ -636,6 +636,65 @@ def test_cli_import_loads_neither_numpy_nor_scipy():
         assert result.stdout == "[]\n", (module, run)
 
 
+# Runs main(argv) in a fresh interpreter and prints its exit code and the
+# insdel modules it loaded; stdout of the command itself is discarded.
+_MODULE_PROBE = (
+    "import contextlib, io, sys\n"
+    "from insdel.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
+    "print(code, sorted(m for m in sys.modules if m.startswith('insdel')))\n"
+)
+
+_CERTIFY = ["certify", "--code-file", "{code}", "--tau-n", "2", "-L", "4"]
+
+
+# Subcommand -> (argv, the insdel submodules it loads beyond cli and core).
+# The rows cover the benchmark's 11-call cli-mix cycle and the other commands.
+_SUBCOMMAND_MODULES = {
+    "import": ([], ()),
+    "distance": (["distance", "-q", "4", "0123", "3210"], ()),
+    "runs": (["runs", "-q", "3", "00120"], ()),
+    "curve-zyablov": (["curve", "--kind", "zyablov", "-q", "2", "--epsilon", "0.01",
+                       "--start", "0.1", "--stop", "0.5", "--steps", "3"],
+                      ("bounds", "_zyablov_knots")),
+    "curve-random_binary": (["curve", "--kind", "random_binary", "--start", "0", "--stop", "0.5",
+                             "--steps", "11"], ("bounds",)),
+    "curve-random_q3": (["curve", "--kind", "random_q3", "-q", "4", "--start", "0",
+                         "--stop", "0.6", "--steps", "11"], ("bounds",)),
+    "sphere": (["sphere", "-q", "2", "--center", "0110100", "--radius", "3",
+                "--kind", "insertion"], ("spheres",)),
+    "ball": (["ball", "-q", "2", "--center", "01101001", "--radius", "4", "--length", "10"],
+             ("spheres",)),
+    "gv-greedy": (["gv-greedy", "-q", "2", "-n", "8", "-d", "4"], ("codes",)),
+    "sample": (["sample", "-q", "2", "-n", "16", "-M", "256", "--seed", "7", "--digest"],
+               ("codes",)),
+    "certify-exhaustive": (_CERTIFY, ("codes", "decode")),
+    "certify-sampled": (_CERTIFY + ["--mode", "sampled", "--samples", "300", "--seed", "5"],
+                        ("codes", "decode")),
+    "channel": (["channel", "-q", "2", "--word", "0110", "--ins", "2", "--del", "1",
+                 "--seed", "9"], ("codes", "channel")),
+    "concat-roundtrip": (["concat-roundtrip", "--params", "{params}", "--seed", "7",
+                          "--budget", "16"], ("codes", "decode", "concat", "channel")),
+    "concat-encode": (["concat-encode", "--params", "{params}", "--message", "1,2,3"],
+                      ("codes", "decode", "concat")),
+}
+
+
+@pytest.mark.parametrize("command", list(_SUBCOMMAND_MODULES))
+def test_each_subcommand_imports_only_the_modules_it_runs(command, tmp_path, desk_params_file):
+    """`insdel.cli` loads only core; a subcommand adds just the modules it runs."""
+    argv, modules = _SUBCOMMAND_MODULES[command]
+    code_file = _write_code_file(tmp_path, sample_random_code(2, 7, 8, 3))
+    argv = [arg.format(code=code_file, params=desk_params_file) for arg in argv]
+    result = subprocess.run(
+        [sys.executable, "-c", _MODULE_PROBE, *argv], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    expected = sorted(["insdel", "insdel.cli", "insdel.core", *(f"insdel.{m}" for m in modules)])
+    assert result.stdout == f"0 {expected}\n"
+
+
 # Blocks numpy outright: an import of it anywhere raises ImportError.
 _WITHOUT_NUMPY = (
     "import sys; sys.modules['numpy'] = None; from insdel.cli import main; sys.exit(main())"

@@ -23,14 +23,11 @@ from insdel.channel import adversarial_block_channel, random_channel
 from insdel.concat import (
     ConcatParams,
     InnerEncoder,
-    Window,
-    align_window,
     build_windows,
     concat_encode,
     concat_encode_message,
     concat_stats,
     feasible_jN,
-    good_index_count,
     list_decode_concat,
     list_decode_concat_detailed,
     make_concat_params,
@@ -50,7 +47,10 @@ from oracles import (
     HOST_N6,
     HOST_WIDE,
     SHARP,
+    Window,
+    align_window,
     brute_feasible,
+    good_index_count,
     lcs_matrix_ref,
     rs_codebook_ref,
     window_cap_ref,

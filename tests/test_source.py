@@ -1,6 +1,8 @@
 """Checks on the package source itself."""
 
 import ast
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -166,6 +168,43 @@ def test_params_record_is_checked_only_by_concat_params():
     }
     assert "make_concat_params" in called["params_from_json_dict"]
     assert all(not {"_whole", "_frac"} & names for names in called.values())
+
+
+_LAZY_PROBE = """
+import sys
+import insdel
+
+loaded = [m for m in sys.modules if m.startswith("insdel.")]
+assert loaded == [], loaded
+assert set(insdel.__all__) <= set(dir(insdel))
+assert insdel.concat is sys.modules["insdel.concat"]
+names = {}
+exec("from insdel import *", names)
+assert set(insdel.__all__) <= set(names)
+for name in insdel.__all__:
+    value = names[name]
+    assert value.__module__.startswith("insdel."), name
+    assert getattr(sys.modules[value.__module__], name) is value, name
+    assert getattr(insdel, name) is value, name
+try:
+    insdel.nope
+except AttributeError as exc:
+    assert str(exc) == "module 'insdel' has no attribute 'nope'", exc
+else:
+    raise AssertionError("insdel.nope resolved")
+"""
+
+
+def test_lazy_namespace_in_a_fresh_interpreter():
+    """A bare `import insdel` loads no submodule; every name resolves on first use.
+
+    Runs in a child interpreter, since in-process other tests have
+    already imported every submodule.  A submodule name resolves after
+    a bare import, each star-imported name is the object its defining
+    module holds, and an unknown name raises the standard AttributeError.
+    """
+    result = subprocess.run([sys.executable, "-c", _LAZY_PROBE], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_export_list_is_sorted_unique_and_complete():
