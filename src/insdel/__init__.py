@@ -33,7 +33,7 @@ _EXPORTS = {
         "sample_word_sequence",
     ),
     "concat": (
-        "ConcatDecodeReport", "ConcatParams", "InnerEncoder", "WindowGrid", "build_windows",
+        "ConcatDecodeReport", "ConcatParams", "WindowGrid", "build_windows",
         "concat_encode", "concat_encode_message", "concat_stats", "feasible_jN",
         "list_decode_concat", "list_decode_concat_detailed", "make_concat_params",
         "params_from_json_dict", "params_to_json_dict",

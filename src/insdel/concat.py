@@ -45,17 +45,23 @@ repeated S times side by side, and each step reads one S-gram of the
 received word (the multiple-text packing of Hyyrö, Fredriksson &
 Navarro).  S is the largest count with (q + 1)**S <= _SCAN_GRAM_LIMIT:
 4 at q = 4, 6 at q = 2.  Then it gates one window length L at a time
-across every recurrence, S starts per add: each start's counter after
-L symbols (its last, for a start too near the end) against the inner
-radius at its clipped length.  A start's flags are split out of its
-recurrence's only when those are nonzero.  The gate addends, one per
-recurrence, and the feasible block positions of a window depend only
-on (lam, mu, M), so they are cached per ConcatParams and received
-length M (length_tables), the positions only on hit windows: a
-window's first hit costs the one feasible_jN call it would make
-without the cache, and later hits read the slot.  Only decodable
-lengths reach the cache, so it holds at most 2 * radius + 1 lengths,
-each with one slot per window of its census.
+across every recurrence, S starts per add, each start's counter after
+L symbols against the inner radius at L.  The edge rule: a window is
+gated at its nominal length even where it runs past the end of the
+received word.  Past the end a start reads sentinels that match
+nothing, so each missing symbol costs one edit.  Only a window inside
+the word is feasible for any block position (feasible_jN), so the rule
+decides which windows count in the report's two match counters, never
+a position list.  The list mass only grows during the scan, so it is
+checked against ell_out after each batch of recurrences.  A start's
+flags are split out of its recurrence's only when those are nonzero.
+The feasible block positions of a window depend only on (lam, mu, M),
+so they are cached per ConcatParams and received length M
+(length_tables), on hit windows only: a window's first hit costs the
+one feasible_jN call it would make without the cache, and later hits
+read the slot.  Only decodable lengths reach the cache, so it holds at
+most 2 * radius + 1 lengths, each with one slot per window of its
+census.
 """
 
 from __future__ import annotations
@@ -65,14 +71,14 @@ import warnings
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import compress, cycle
 from operator import itemgetter
 from typing import Sequence
 
 from .codes import Seed, check_seed, sample_word_sequence
 from .core import BoundViolationError, CapacityError, DomainError, RegimeWarning, Word
-from .core import FractionLike, _LaneTable, _flagged_lanes, _frac, _gram_keys
-from .core import _gram_table, _lane_budget, _lane_gate, _lane_width, _lcs_steps, _pack_lanes
+from .core import FractionLike, _LaneTable, _flagged_lanes, _frac, _gram_keys, _gram_table
+from .core import _lane_blocks, _lane_budget, _lane_gate, _lane_width, _lcs_steps
 from .core import _packed_match_table, _repeat_groups, _split_groups, _whole
 from .decode import RSCode, _check_recovery_size, brute_force_list_recover, rs_encode
 
@@ -93,57 +99,8 @@ _SCAN_GRAM_LIMIT = 1 << 10
 
 
 @dataclass(frozen=True)
-class InnerEncoder:
-    """Injective encoder from (index, symbol) pairs to q-ary words.
-
-    Indices run 1..index_count, symbols 0..symbol_count-1, and the pair
-    (index, sym) maps to words[(index-1)*symbol_count + sym].  Words are
-    distinct by construction, so the map is injective.  ConcatParams
-    keeps the seed the words were sampled from.
-    """
-
-    q: int
-    n: int
-    index_count: int
-    symbol_count: int
-    words: tuple[Word, ...]
-
-    def __post_init__(self) -> None:
-        if self.index_count < 1 or self.symbol_count < 1:
-            raise DomainError("inner encoder domain must be nonempty")
-        expected = self.index_count * self.symbol_count
-        if len(self.words) != expected:
-            raise DomainError(
-                f"inner encoder needs {expected} words, got {len(self.words)}"
-            )
-        if len(set(self.words)) != len(self.words):
-            raise DomainError("inner encoder words must be distinct")
-        for w in self.words:
-            if w.q != self.q or len(w) != self.n:
-                raise DomainError("inner encoder words must share alphabet and length")
-
-    @classmethod
-    def sample(
-        cls, q: int, n: int, index_count: int, symbol_count: int, seed: Seed
-    ) -> "InnerEncoder":
-        words = sample_word_sequence(q, n, index_count * symbol_count, seed)
-        return cls(q=q, n=n, index_count=index_count, symbol_count=symbol_count, words=words)
-
-    def encode(self, index: int, sym: int) -> Word:
-        if not 1 <= index <= self.index_count:
-            raise DomainError(
-                f"encoder index {index} outside [1, {self.index_count}]"
-            )
-        if not 0 <= sym < self.symbol_count:
-            raise DomainError(
-                f"outer symbol {sym} outside [0, {self.symbol_count})"
-            )
-        return self.words[(index - 1) * self.symbol_count + sym]
-
-
-@dataclass(frozen=True)
 class ConcatParams:
-    """The parameter record; the outer RS code and inner encoder are built from it.
+    """The parameter record; the outer RS code and inner words are built from it.
 
     The init fields are the params JSON keys.  __post_init__ checks each
     once (counts by core._whole, rationals by core._frac) and, before
@@ -152,7 +109,9 @@ class ConcatParams:
     points.  Then it builds outer (points keeps the tuple outer
     normalises), refuses a codebook past the recovery limits with
     CapacityError and samples inner from inner_seed; neither is printed
-    or compared.
+    or compared.  inner is the inner encoder: eps_cont_N * p distinct
+    words of length n over q, word k encoding (index, sym) with
+    divmod(k, p) = (index - 1, sym).
 
     Derived quantities, each computed once per instance: tau_hat =
     tau_in - tau_star is the alignment grid pitch (tau_hat_n = tau_hat * n
@@ -165,10 +124,10 @@ class ConcatParams:
     the bound's floor, so the decoder compares against these two ints.
     The decoder's listed words are memoized per instance (listed_words):
     each is built once, and the list is ordered by its int key.  The
-    scan's gate addends and the feasible block positions of each hit
-    window are cached per received length (length_tables): at most
-    2 * radius + 1 lengths, and a feasibility miss costs only the
-    feasible_jN call the decoder would make without the cache.
+    feasible block positions of each hit window are cached per received
+    length (length_tables): at most 2 * radius + 1 lengths, and a
+    feasibility miss costs only the feasible_jN call the decoder would
+    make without the cache.
     """
 
     N: int
@@ -187,7 +146,7 @@ class ConcatParams:
     inner_seed: Seed
     points: tuple[int, ...] | None = None
     outer: RSCode = field(init=False, repr=False, compare=False)
-    inner: InnerEncoder = field(init=False, repr=False, compare=False)
+    inner: tuple[Word, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("N", "n", "q", "p", "K", "ell_out", "inner_seed"):
@@ -235,9 +194,8 @@ class ConcatParams:
         _check_recovery_size(p, self.K, N)
         object.__setattr__(self, "points", outer.points)
         object.__setattr__(self, "outer", outer)
-        object.__setattr__(
-            self, "inner", InnerEncoder.sample(self.q, n, self.eps_cont_N, p, self.inner_seed)
-        )
+        words = sample_word_sequence(self.q, n, self.eps_cont_N * p, self.inner_seed)
+        object.__setattr__(self, "inner", tuple(words))
         if self.alpha_out < 1:
             needed = self.tau_in - self.eps_conc / (1 - self.alpha_out)
             if self.tau_star < needed:
@@ -313,56 +271,44 @@ class ConcatParams:
         adds N * (8 * p + 48) + 48 bytes at most on a 64-bit CPython.
         Built on first use.
         """
-        words, E, p = self.inner.words, self.eps_cont_N, self.p
+        words, E, p = self.inner, self.eps_cont_N, self.p
         return tuple(
             tuple(w.symbols for w in words[(i % E) * p : (i % E + 1) * p]) for i in range(self.N)
         )
 
     @cached_property
-    def inner_lanes(self) -> tuple[_LaneTable, list[int], int]:
-        """(table, addends, top) over every inner-encoder word.
+    def inner_grams(self) -> tuple[int, _LaneTable, list[int], list[int]]:
+        """(S, table, addends, tops): the scan's LCS table and gate over every inner word.
 
-        Lane k of the packed LCS table holds inner.words[k], the word of
-        (index, sym) with divmod(k, symbol_count) = (index - 1, sym).
-        For every window length L up to mu_hi * tau_hat_n, (counts +
-        addends[L]) & top flags the lanes within inner_radius of a window
-        with LCS counter counts.  Its ints of G = inner words * (n + 1)
-        bits, one per symbol of the inner words, per length and three
-        more, take (symbols + mu_hi * tau_hat_n + 4) * (G // 7 + 64) + 512
+        S is the largest count with (q + 1)**S <= _SCAN_GRAM_LIMIT, and at
+        least 1.  Lane k of the packed LCS table (core._packed_match_table)
+        holds inner[k]; the gram table holds S copies of those lanes side
+        by side, copy s at bit s * G with G = inner words * (n + 1), and
+        its match dict holds the entry of every S-gram key a received word
+        can have (core._gram_table): at most (q**(S + 1) - 1) // (q - 1)
+        - 1 entries, 126 on DESK and 340 on SHARP, and at S = 1 one per
+        symbol of the inner words, however large q is.  For every window
+        length L up to mu_hi * tau_hat_n, (counts + addends[L]) & tops[k]
+        flags, in each of the first k copies, the lanes within
+        inner_radius of a length-L window with LCS counter counts.  With
+        m such lengths and g entries, its ints of at most S * G bits take
+        (g + m + S + 3) * (S * G // 7 + 64) + g * (8 * S + 120) + 512
         bytes at most on a 64-bit CPython.  Built on the first decode,
         then shared by every decode.
         """
-        words, n = [w.symbols for w in self.inner.words], self.n
+        words, n = [w.symbols for w in self.inner], self.n
         table = _packed_match_table(words, n)
         lengths = range(self.window_grid[2] * self.tau_hat_n + 1)
         addends, top = _lane_gate(table, [_lane_budget(self.inner_radius, n, L) for L in lengths])
-        return table, addends, top
-
-    @cached_property
-    def inner_grams(self) -> tuple[int, _LaneTable, list[int], int]:
-        """(S, table, addends, top): inner_lanes for S window starts at once.
-
-        S is the largest count with (q + 1)**S <= _SCAN_GRAM_LIMIT, and at
-        least 1.  The gram table holds S copies of inner_lanes' lanes side
-        by side, copy s at bit s * G with G = inner words * (n + 1); its
-        match dict holds the entry of every S-gram key a received word
-        can have (core._gram_table): at most (q**(S + 1) - 1) // (q - 1)
-        - 1 entries of S * G bits, 126 on DESK and 340 on SHARP, and at
-        S = 1 one per symbol of the inner words, however large q is.
-        addends[L] is inner_lanes' addend for L in every copy, and top
-        keeps the gate bits of every copy.  Built on the first decode,
-        then shared by every decode.
-        """
-        table, addends, top = self.inner_lanes
         S = 1
         while (self.q + 1) ** (S + 1) <= _SCAN_GRAM_LIMIT:
             S += 1
-        G = len(self.inner.words) * _lane_width(self.n)
+        G = len(words) * _lane_width(n)
         return (
             S,
             _gram_table(table, self.q, S, G),
             [_repeat_groups(addend, S, G) for addend in addends],
-            _repeat_groups(top, S, G),
+            [_repeat_groups(top, k, G) for k in range(S + 1)],
         )
 
     @cached_property
@@ -395,25 +341,18 @@ class ConcatParams:
         return tuple(digits), {}
 
     @cached_property
-    def length_tables(
-        self,
-    ) -> tuple[dict[int, tuple[list[list[range | None]], list[list[int]]]], dict]:
-        """(tables, shared): the decoder's tables per received length M.
+    def length_tables(self) -> tuple[dict[int, list[list[range | None]]], dict[range, range]]:
+        """(tables, shared): the decoder's feasibility slots per received length M.
 
-        tables[M] = (slots, gates) is built by the first decode of a
-        length-M word.  slots[mu - mu_lo][lam] is feasible_jN(lam, mu,
-        self, M), or None until a decode first finds a hit in window
-        (lam, mu), so a window without hits never calls feasible_jN.
-        Group s of gates[mu - mu_lo][h] is inner_lanes' addend for start
-        phi = (h*S + s) * step at its clipped length min(mu * step,
-        max(0, M - phi)), or 0 past lam_hi.  A recurrence that clips no
-        start holds inner_grams' addend; shared keeps one copy of every
-        other gate and of every range.  Only decodable lengths are
-        kept, at most 2 * radius + 1.  A length of W windows, R
-        recurrences and m window lengths holds 8 * (W + m * R) + 144 * m
-        + 512 bytes of lists at most, and shared 256 bytes per range and
-        S * G // 7 + 160 per gate (G as in inner_lanes), on a 64-bit
-        CPython.  Built on first use, then shared by every decode.
+        tables[M] is built by the first decode of a length-M word:
+        tables[M][mu - mu_lo][lam] is feasible_jN(lam, mu, self, M), or
+        None until a decode first finds a hit in window (lam, mu), so a
+        window without hits never calls feasible_jN.  shared keeps one
+        copy of every range.  Only decodable lengths are kept, at most
+        2 * radius + 1.  A length of W windows and m window lengths holds
+        8 * W + 64 * m + 512 bytes of lists at most, and shared 256 bytes
+        per range, on a 64-bit CPython.  Built on first use, then shared
+        by every decode.
         """
         return {}, {}
 
@@ -504,11 +443,11 @@ def concat_encode_message(params: ConcatParams, message: Sequence[int]) -> Word:
 class WindowGrid:
     """The grid windows over a received word of length M, as five ints.
 
-    Window (lam, mu) starts at phi = lam * step and nominally spans
-    mu * step symbols, for lam in 0..lam_hi and mu in mu_lo..mu_hi; its
-    extractable length is clipped at the right edge of the received
-    word.  len() is the window census, the closed-form size of that
-    rectangle.
+    Window (lam, mu) starts at phi = lam * step and spans mu * step
+    symbols, for lam in 0..lam_hi and mu in mu_lo..mu_hi; a window may
+    run past the end of the received word (see the module docstring for
+    how it is gated).  len() is the window census, the closed-form size
+    of that rectangle.
     """
 
     step: int
@@ -527,11 +466,11 @@ def build_windows(params: ConcatParams, M: int) -> WindowGrid:
     Start offsets are lam * step for lam in a range wide enough to reach
     the end of the received word; nominal lengths are mu * step with mu
     spanning every length an inner block can stretch or shrink to on the
-    grid.  Windows are clipped at the right edge but kept, including
-    empty ones, so the grid coordinate ranges stay rectangular.  The
-    bounds are whole numbers computed once per params
-    (ConcatParams.window_grid); when M is within the decoding radius of
-    n * N, the census is checked against ConcatParams.window_cap.
+    grid.  Windows running past the right edge are kept, so the grid
+    coordinate ranges stay rectangular.  The bounds are whole numbers
+    computed once per params (ConcatParams.window_grid); when M is within
+    the decoding radius of n * N, the census is checked against
+    ConcatParams.window_cap.
     """
     if M < 0:
         raise DomainError("received length must be nonnegative")
@@ -586,10 +525,15 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
     domain; each hit contributes its outer symbol to the position lists
     of every feasible block position.  Outer recovery tests every outer
     codeword at once on the code's packed bit planes.
-    If the received word is within (1 - alpha_out) * tau_in - eps_conc
-    of a codeword (as a fraction of n*N), that codeword is in the output.
-    A scan of more than _SCAN_WORK_LIMIT lane bits (see there) raises
-    CapacityError before the inner lane tables are built.
+    In the regime tau_star >= tau_in - eps_conc / (1 - alpha_out), or
+    alpha_out = 1: if the received word is within (1 - alpha_out) *
+    tau_in - eps_conc of a codeword (as a fraction of n*N), that
+    codeword is in the output.  ConcatParams raises RegimeWarning
+    outside the regime, where a codeword within that radius can be
+    missed.  A scan of more than _SCAN_WORK_LIMIT lane bits (see there)
+    raises CapacityError before the inner lane tables are built, and a
+    list mass over ell_out raises DomainError as soon as the scan
+    reaches it.
     """
     if r.q != params.q:
         raise DomainError(f"received word alphabet {r.q} differs from q={params.q}")
@@ -606,39 +550,31 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
     starts = range(0, (windows.lam_hi + 1) * step, step)
     longest = mu_hi * step
     width = _lane_width(params.n)
-    lane_bits = len(params.inner.words) * width
+    lane_bits = len(params.inner) * width
     work = len(starts) * longest * lane_bits
     if work > _SCAN_WORK_LIMIT:
         raise CapacityError(f"a window scan of {work} lane bits exceeds {_SCAN_WORK_LIMIT}")
     E, p = params.eps_cont_N, params.p
-    S, grams, group_addends, top = params.inner_grams
+    S, grams, addends, tops = params.inner_grams
     # Recurrence h runs starts h*S .. h*S + S - 1 at once, start h*S + s in
     # group s, over the longest window from its first start: step t reads
-    # the S-gram key at heads[h] + t.  A start's counter stops at the last
-    # received symbol, so after L steps it holds the counter of the start's
-    # length-L window clipped at the end.
+    # the S-gram key at heads[h] + t.  Every window is gated at its nominal
+    # length (see the module docstring); the last recurrence keeps the gate
+    # bits of its real starts only.
     heads = starts[::S]
+    gate_tops = [tops[S]] * (len(heads) - 1) + [tops[(len(starts) - 1) % S + 1]]
     keys = _gram_keys(r.symbols, params.q, step, S, starts.stop + longest)
     tables, shared = params.length_tables
-    entry = tables.get(M)
-    if entry is None:
-        # Each start is gated at its clipped length (see length_tables);
-        # recurrences before `whole` clip no start at length L.
-        addends, gates = params.inner_lanes[1], []
-        for mu in mus:
-            L = mu * step
-            whole = max(0, (M - L) // step + 1) // S
-            tail = [addends[min(L, max(0, M - phi))] for phi in starts[whole * S :]]
-            tail += [0] * (-len(starts) % S)
-            packed = (_pack_lanes(tail[i : i + S], lane_bits) for i in range(0, len(tail), S))
-            gates.append([group_addends[L]] * whole + [shared.setdefault(g, g) for g in packed])
-        entry = tables[M] = ([[None] * len(starts) for _ in mus], gates)
-    by_mu, gates = entry
+    by_mu = tables.get(M)
+    if by_mu is None:
+        by_mu = tables[M] = [[None] * len(starts) for _ in mus]
     # hit_lanes[j] gathers the gate flags of every (index, sym) lane hit
-    # by a window that position j is feasible for, whatever the index.
+    # by a window that position j is feasible for, whatever the index;
+    # position j keeps the lanes of the index it carries, j mod E, whose
+    # gate bits are index_gates[j % E].
     hit_lanes = [0] * params.N
-    match_total = 0
-    max_inner_list = 0
+    index_gates = _lane_blocks(tops[1], width, p, E)
+    match_total = max_inner_list = mass = 0
     # Rows are held for a batch of recurrences at a time: about
     # _SCAN_BATCH_BITS of counters, and never less than one recurrence's row.
     row_bits = (longest + 1) * S * lane_bits
@@ -648,9 +584,11 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
         rows = [
             list(_lcs_steps(keys[phi : phi + longest], grams)) for phi in heads[first : first + batch]
         ]
-        for mu, positions, gate_row in zip(mus, by_mu, gates):
+        batch_tops = gate_tops[first : first + batch]
+        for mu, positions in zip(mus, by_mu):
             L = mu * step
-            flags = [(row[L] + gate) & top for row, gate in zip(rows, gate_row[first:])]
+            addend = addends[L]
+            flags = [(row[L] + addend) & top for row, top in zip(rows, batch_tops)]
             counts = list(map(int.bit_count, flags))
             match_total += sum(counts)
             # Split the recurrences with a hit: groups[i] holds the flags of
@@ -667,22 +605,26 @@ def list_decode_concat_detailed(params: ConcatParams, r: Word) -> ConcatDecodeRe
                     span = positions[lam] = shared.setdefault(span, span)
                 for j in span:
                     hit_lanes[j] |= bits
+        # hit_lanes only gains bits, so the list mass only grows, and after
+        # the last batch it is the exact mass.
+        mass = sum(map(int.bit_count, map(int.__and__, hit_lanes, cycle(index_gates))))
+        if mass > params.ell_out:
+            raise DomainError(
+                f"the position lists hold at least {mass} entries, over the budget "
+                f"ell_out = {params.ell_out}"
+            )
 
-    # Position j keeps only the lanes of the index it carries, j mod E.
     lists = [
-        [k % p for k in _flagged_lanes(bits, width) if k // p == j % E]
-        for j, bits in enumerate(hit_lanes)
+        [k % p for k in _flagged_lanes(bits & gate, width)]
+        for bits, gate in zip(hit_lanes, cycle(index_gates))
     ]
-    mass = sum(len(entries) for entries in lists)
     cap = len(windows) * max_inner_list * (params.tau / params.eps_cont + 1)
     if mass > cap:
         raise BoundViolationError("position-list mass exceeded the window-count bound")
     # A frozenset prints colliding symbols in insertion order; inserting
     # in sorted order makes the printed report independent of scan order.
     frozen = tuple([frozenset(sorted(entries)) for entries in lists])
-    outer_hits = brute_force_list_recover(
-        params.outer, frozen, params.alpha_out, ell=params.ell_out
-    )
+    outer_hits = brute_force_list_recover(params.outer, frozen, params.alpha_out)
     # Each listed word is built once per params; the list is ordered by
     # its unique int key, which orders it by symbols.
     digits, memo = params.listed_words

@@ -354,6 +354,18 @@ def _lane_gate(table: _LaneTable | _PlaneTable, budgets: Sequence[int]) -> tuple
     return [((1 << n) - min(max(n - most, 0), n + 1)) * ones for most in budgets], ones << n
 
 
+def _lane_blocks(value: int, width: int, lanes: int, count: int) -> list[int]:
+    """value cut into `count` blocks of `lanes` lanes each, every block kept in place.
+
+    Entry i holds the bits of lanes i*lanes .. (i+1)*lanes - 1 of value
+    and no other bit, so and-ing a lane gate's flags with it keeps the
+    flags of those lanes.
+    """
+    run = lanes * width
+    block = (1 << run) - 1
+    return [value & block << i * run for i in range(count)]
+
+
 def _flagged_lanes(flags: int, width: int) -> Iterator[int]:
     """Lane numbers, ascending, of the lanes whose gate bit (width - 1) is set.
 
@@ -443,7 +455,8 @@ def _gram_keys(
     with the sentinel q standing for every symbol past the end of xs.
     Run from position i in a gram table, group s reads xs from
     i + s*step; a sentinel matches nothing, so a group's counter stops
-    at the last symbol of xs.
+    at the last symbol of xs, and a gate at a length past the end
+    charges each missing symbol as one edit.
     """
     length = max(0, length)
     padded = tuple(xs) + (q,) * (length + (groups - 1) * step - len(xs))

@@ -22,7 +22,6 @@ from insdel import concat
 from insdel.channel import adversarial_block_channel, random_channel
 from insdel.concat import (
     ConcatParams,
-    InnerEncoder,
     build_windows,
     concat_encode,
     concat_encode_message,
@@ -34,11 +33,11 @@ from insdel.concat import (
     params_from_json_dict,
     params_to_json_dict,
 )
-from insdel.codes import philox_generator
+from insdel.codes import philox_generator, sample_word_sequence
 from insdel.core import BoundViolationError, CapacityError, DomainError, RegimeWarning
 from insdel.core import insdel_distance, word
 from insdel.core import _flagged_lanes, _gram_keys, _gram_table, _lane_budget, _lane_gate, _lane_width
-from insdel.core import _lcs_steps, _split_groups
+from insdel.core import _lcs_steps, _packed_match_table, _split_groups
 from insdel.decode import rs_encode
 from oracles import (
     DESK,
@@ -202,7 +201,7 @@ def test_make_concat_params_refuses_before_building_anything(monkeypatch, overri
         raise AssertionError("built before the cheap bounds")
 
     monkeypatch.setattr(concat, "RSCode", built)
-    monkeypatch.setattr(concat.InnerEncoder, "sample", built)
+    monkeypatch.setattr(concat, "sample_word_sequence", built)
     with pytest.raises(error):
         make_concat_params(**{**DESK, **override})
 
@@ -219,7 +218,7 @@ def test_make_concat_params_refuses_non_integer_counts(monkeypatch, field, value
         raise AssertionError("built from a non-integer count")
 
     monkeypatch.setattr(concat, "RSCode", built)
-    monkeypatch.setattr(concat.InnerEncoder, "sample", built)
+    monkeypatch.setattr(concat, "sample_word_sequence", built)
     with pytest.raises(DomainError, match=f"must be an integer, got {value!r}$"):
         make_concat_params(**{**DESK, field: value})
 
@@ -227,7 +226,7 @@ def test_make_concat_params_refuses_non_integer_counts(monkeypatch, field, value
 def test_inner_encoder_symbol_limit_is_inclusive(monkeypatch):
     """DESK's encoder holds 2 * 11 words of 10 symbols: built at a limit of 220, refused below."""
     monkeypatch.setattr(concat, "_INNER_SYMBOL_LIMIT", 220)
-    assert len(make_concat_params(**DESK).inner.words) == 22
+    assert len(make_concat_params(**DESK).inner) == 22
     monkeypatch.setattr(concat, "_INNER_SYMBOL_LIMIT", 219)
     with pytest.raises(CapacityError, match="exceeds 219 symbols"):
         make_concat_params(**DESK)
@@ -250,45 +249,28 @@ def test_params_fields_are_the_json_record(desk_params):
     assert set(init) == set(params_to_json_dict(desk_params))
     assert desk_params.points == tuple(range(8)) == desk_params.outer.points
     assert (desk_params.outer.p, desk_params.outer.k) == (desk_params.p, desk_params.K)
-    assert desk_params.inner.words == InnerEncoder.sample(2, 10, 2, 11, seed=2024).words
+    assert desk_params.inner == tuple(sample_word_sequence(2, 10, 22, 2024))
     with pytest.raises(ValueError, match="init=False"):
         dataclasses.replace(desk_params, inner=desk_params.inner)
 
 
-def test_inner_encoder_table_layout(desk_params):
-    """Word k is the encoding of (index, sym) with divmod(k, p) = (index - 1, sym)."""
-    enc = desk_params.inner
-    assert len(set(enc.words)) == 22
-    for k, codeword in enumerate(enc.words):
-        index, sym = divmod(k, enc.symbol_count)
-        assert codeword == enc.encode(index + 1, sym)
+def test_inner_encoder_table_layout(desk_params, host_n6):
+    """Word k encodes (index, sym) with divmod(k, p) = (index - 1, sym).
 
-
-def test_inner_encoder_encode_validation(desk_params):
-    enc = desk_params.inner
-    for index, sym in ((0, 0), (3, 0), (1, -1), (1, 11)):
-        with pytest.raises(DomainError):
-            enc.encode(index, sym)
-
-
-def test_inner_encoder_validation():
-    ws = tuple(word(t, 2) for t in [(0, 0), (0, 1), (1, 0), (1, 1)])
-    InnerEncoder(q=2, n=2, index_count=2, symbol_count=2, words=ws)
-    with pytest.raises(DomainError):
-        InnerEncoder(q=2, n=2, index_count=2, symbol_count=2, words=ws[:3])
-    with pytest.raises(DomainError):
-        InnerEncoder(q=2, n=2, index_count=2, symbol_count=2, words=ws[:2] + ws[:2])
-    with pytest.raises(DomainError):
-        InnerEncoder(q=2, n=2, index_count=0, symbol_count=2, words=())
-    with pytest.raises(DomainError):
-        InnerEncoder(q=2, n=2, index_count=1, symbol_count=1, words=(word((0,), 2),))
+    Block i carries index i mod E + 1, so its symbol tuples are words
+    (i mod E) * p .. (i mod E) * p + p - 1.
+    """
+    for params in (desk_params, host_n6):
+        E, p = params.eps_cont_N, params.p
+        assert len(set(params.inner)) == len(params.inner) == E * p
+        for i, block in enumerate(params.block_symbols):
+            assert block == tuple(params.inner[(i % E) * p + sym].symbols for sym in range(p))
 
 
 def test_inner_encoder_sampling_is_seeded():
-    a = InnerEncoder.sample(2, 10, 2, 11, seed=2024)
-    b = InnerEncoder.sample(2, 10, 2, 11, seed=2024)
-    assert a == b
-    assert InnerEncoder.sample(2, 10, 2, 11, seed=2025).words != a.words
+    a, b = make_concat_params(**DESK), make_concat_params(**DESK)
+    assert a.inner == b.inner
+    assert make_concat_params(**{**DESK, "inner_seed": 2025}).inner != a.inner
 
 
 def test_concat_encode_block_structure(desk_params, host_n6):
@@ -296,10 +278,10 @@ def test_concat_encode_block_structure(desk_params, host_n6):
     for params, message in ((desk_params, MESSAGE), (host_n6, MESSAGE[:2])):
         outer_word = rs_encode(params.outer, message)
         c = concat_encode(params, outer_word)
-        n, E = params.n, params.eps_cont_N
+        n, E, p = params.n, params.eps_cont_N, params.p
         assert len(c) == n * params.N
         for i, sym in enumerate(outer_word, start=1):
-            assert c[(i - 1) * n : i * n] == params.inner.encode((i - 1) % E + 1, sym)
+            assert c[(i - 1) * n : i * n] == params.inner[(i - 1) % E * p + sym]
         assert concat_encode_message(params, message) == c
 
 
@@ -503,9 +485,9 @@ def test_zero_error_roundtrip(desk_params):
 @pytest.mark.parametrize(
     "seed,missing,inner_matches,list_size",
     [
-        (0, [[1, 3, 4, 9], [], [9], [7], [1, 3, 4, 9], [], [], [1, 2, 5, 7, 10]], 1957, 1331),
-        (3, [[6, 8, 10], [6, 8], [8, 10], [6], [], [0, 6], [10], [6, 8]], 2401, 1326),
-        (7, [[8, 10], [6, 8], [], [], [], [7], [4], [6]], 2533, 1331),
+        (0, [[1, 3, 4, 9], [], [9], [7], [1, 3, 4, 9], [], [], [1, 2, 5, 7, 10]], 1839, 1331),
+        (3, [[6, 8, 10], [6, 8], [8, 10], [6], [], [0, 6], [10], [6, 8]], 2213, 1326),
+        (7, [[8, 10], [6, 8], [], [], [], [7], [4], [6]], 2309, 1331),
     ],
 )
 def test_fractional_radius_decodes_pinned(
@@ -541,6 +523,11 @@ def fresh_params(instance) -> ConcatParams:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
         return make_concat_params(**instance)
+
+
+def one_copy_table(params: ConcatParams):
+    """The packed LCS table over the inner words, word k in lane k: inner_grams' lanes, once."""
+    return _packed_match_table([w.symbols for w in params.inner], params.n)
 
 
 @pytest.mark.parametrize(
@@ -654,17 +641,19 @@ def test_listed_word_keys_order_like_symbols(desk_params, host_n6, data):
 def direct_scan(params: ConcatParams, received):
     """Redo the inner scan window by window with oracles.lcs_matrix_ref.
 
-    A domain word hits a grid window when n + len - 2*lcs <= inner_radius.
-    Each start's full LCS matrix against a domain word, over the start's
-    longest window, gives the LCS of every window there.  Returns the
-    window count, (inner_match_total, max_inner_list), and the position
-    lists that each hit's symbol, entered at every position
-    oracles.brute_feasible allows, builds.  Shares no code with the
-    decoder's match tables, scan or feasibility cache.
+    A domain word hits a grid window of nominal length L = mu * step when
+    n + L - 2*lcs <= inner_radius, lcs taken over the window's content
+    inside the word: each symbol past the end counts as one edit.  Each
+    start's full LCS matrix against a domain word, over the start's
+    longest window, gives the LCS of every window there.  Returns each
+    window's hit count and the position lists that each hit's symbol,
+    entered at every position oracles.brute_feasible allows, builds.
+    Shares no code with the decoder's match tables, scan or feasibility
+    cache.
     """
     n, inner_radius, E, p = params.n, params.inner_radius, params.eps_cont_N, params.outer.p
     M = len(received)
-    words = params.inner.words
+    words = params.inner
     hits = []
     lists = [set() for _ in range(params.N)]
     matrices = {}
@@ -676,19 +665,19 @@ def direct_scan(params: ConcatParams, received):
         hit = [
             divmod(k, p)
             for k, matrix in enumerate(matrices[win.phi])
-            if n + win.lambda_len - 2 * matrix[win.lambda_len][n] <= inner_radius
+            if n + win.mu * params.tau_hat_n - 2 * matrix[win.lambda_len][n] <= inner_radius
         ]
         hits.append(len(hit))
         for i, sym in hit:
             for j_N in brute_feasible(i, win.lam, win.mu, params, M):
                 lists[i + j_N * E].add(sym)
-    return len(hits), (sum(hits), max(hits)), lists
+    return hits, lists
 
 
 def assert_report_matches_direct_scan(report, params, received, label):
-    window_count, totals, lists = direct_scan(params, received)
-    assert report.window_count == window_count, label
-    assert (report.inner_match_total, report.max_inner_list) == totals, label
+    hits, lists = direct_scan(params, received)
+    assert report.window_count == len(hits), label
+    assert (report.inner_match_total, report.max_inner_list) == (sum(hits), max(hits)), label
     assert [set(entries) for entries in report.position_lists] == lists, label
 
 
@@ -747,28 +736,85 @@ def count_feasible_calls(monkeypatch) -> list[int]:
     return calls
 
 
-# feasible_jN calls of the first decode of full_budget_channel(params, 0)
-# on fresh params, recorded from the decoder before the feasibility cache:
-# one call per hit window.
-FIRST_DECODE_FEASIBLE_CALLS = {"desk": 674, "sharp": 263, "host-n6": 82}
-
-
-@pytest.mark.parametrize(
-    "instance, name", [(DESK, "desk"), (SHARP, "sharp"), (HOST_N6, "host-n6")],
-    ids=["desk", "sharp", "host-n6"],
-)
+@pytest.mark.parametrize("instance", [DESK, SHARP, HOST_N6], ids=["desk", "sharp", "host-n6"])
 def test_a_first_decode_calls_feasibility_once_per_hit_window_and_a_repeat_never(
-    monkeypatch, instance, name
+    monkeypatch, instance
 ):
+    """A first decode calls feasible_jN once per hit window, and a repeat never.
+
+    The hit windows of full_budget_channel(params, 0) are those direct_scan
+    finds a hit in; a repeat decode reads every slot back.
+    """
     params = fresh_params(instance)
     _, received = full_budget_channel(params, 0)
+    hit_windows = sum(map(bool, direct_scan(params, received)[0]))
     calls = count_feasible_calls(monkeypatch)
     first = list_decode_concat_detailed(params, received)
-    assert calls == [FIRST_DECODE_FEASIBLE_CALLS[name]]
+    assert calls == [hit_windows]
     second = list_decode_concat_detailed(params, received)
-    assert calls == [FIRST_DECODE_FEASIBLE_CALLS[name]]
+    assert calls == [hit_windows]
     assert second == first
     assert repr(second) == repr(first)
+
+
+# DESK with tau_star * n = 11 >= n: shrunk = 0 and mu_lo = 0, so a start
+# with no symbol left passes the gate at lengths 0 and 4 (step 4).
+DESK_LONG_STAR = {**DESK, "tau_in": Fraction(3, 2), "tau_star": Fraction(11, 10)}
+
+
+def test_filler_starts_of_the_last_recurrence_are_not_windows():
+    """Groups past lam_hi in the last recurrence flag nothing.
+
+    On DESK_LONG_STAR a filler group reads only sentinels, so it has LCS
+    0 and would pass the gate at short lengths.  Words at five lengths
+    from n*N - radius to n*N + radius (S = 6 does not divide the start
+    count at four of them) decode like direct_scan.
+    """
+    params = fresh_params(DESK_LONG_STAR)
+    total, radius, rng = params.n * params.N, params.radius, random.Random(11)
+    sent = concat_encode_message(params, [rng.randrange(params.p) for _ in range(params.K)])
+    for M in (total - radius, total - 3, total, total + 3, total + radius):
+        n_ins, n_del = max(0, M - total), max(0, total - M)
+        received, _ = random_channel(sent, n_ins, n_del, rng.randrange(2**63))
+        report = list_decode_concat_detailed(params, received)
+        assert_report_matches_direct_scan(report, params, received, M)
+
+
+def test_an_over_budget_list_mass_is_refused_during_the_scan(monkeypatch):
+    """DESK with N = 996, p = 997 and K = 1 lists about 10**6 entries for its sent word.
+
+    The scan refuses the mass within a second, before any list is read
+    out or recovery runs.
+    """
+    params = fresh_params({**DESK, "N": 996, "p": 997, "K": 1, "eps_cont": Fraction(1, 996)})
+    sent = concat_encode_message(params, [5])
+
+    def recovered(*args, **kwargs):
+        raise AssertionError("recovery ran")
+
+    monkeypatch.setattr(concat, "brute_force_list_recover", recovered)
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=r"^the position lists hold at least \d+ entries, over"):
+        list_decode_concat_detailed(params, sent)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_the_list_mass_budget_is_inclusive(desk_params):
+    """DESK scans in one batch, so the mass its refusal names is the exact list mass.
+
+    ell_out = mass decodes the word, and ell_out = mass - 1 or 10 refuses it.
+    """
+    received = full_budget_channel(desk_params, 0)[1]
+    report = list_decode_concat_detailed(desk_params, received)
+    S, longest = desk_params.inner_grams[0], desk_params.window_grid[2] * desk_params.tau_hat_n
+    row_bits = (longest + 1) * S * len(desk_params.inner) * _lane_width(desk_params.n)
+    assert report.scan_recurrences * row_bits <= concat._SCAN_BATCH_BITS
+    mass = report.list_mass
+    assert list_decode_concat_detailed(fresh_params({**DESK, "ell_out": mass}), received) == report
+    for ell_out in (mass - 1, 10):
+        message = f"^the position lists hold at least {mass} entries, over the budget ell_out = "
+        with pytest.raises(DomainError, match=f"{message}{ell_out}$"):
+            list_decode_concat_detailed(fresh_params({**DESK, "ell_out": ell_out}), received)
 
 
 def test_a_refused_length_leaves_the_feasibility_cache_empty(monkeypatch):
@@ -792,7 +838,7 @@ def test_scan_work_limit_is_inclusive(monkeypatch):
     monkeypatch.setattr(concat, "_SCAN_WORK_LIMIT", 1_871_099)
     with pytest.raises(CapacityError, match="^a window scan of 1871100 lane bits exceeds 1871099$"):
         list_decode_concat_detailed(params, received)
-    assert "inner_lanes" not in params.__dict__ and "inner_grams" not in params.__dict__
+    assert "inner_grams" not in params.__dict__
     assert params.length_tables == ({}, {})
     monkeypatch.setattr(concat, "_SCAN_WORK_LIMIT", 1_871_100)
     report = list_decode_concat_detailed(params, received)
@@ -802,20 +848,18 @@ def test_scan_work_limit_is_inclusive(monkeypatch):
 def test_a_full_feasibility_cache_on_sharp_stays_under_a_megabyte():
     """Fill every slot at every decodable length; the cache retains under its bound and 1 MB.
 
-    An addend equal to top flags every lane, so every window of every
-    decode hits and fills its slot.  Each slot must hold feasible_jN's
-    range, and each gate inner_grams' addend or its copy in shared;
-    what the cache retains is the memory freed when it is dropped.  The
-    bound is length_tables' docstring bound, summed over the lengths,
-    and the reading must exceed half of it, so it saw the cache.
+    An addend equal to the gate bits flags every lane, so every window of
+    every decode hits and fills its slot.  Each slot must hold
+    feasible_jN's range, kept once in shared; what the cache retains is
+    the memory freed when it is dropped.  The bound is length_tables'
+    docstring bound, summed over the lengths, and the reading must
+    exceed half of it, so it saw the cache.
     """
     params = fresh_params(SHARP)
-    table, addends, top = params.inner_lanes
-    params.__dict__["inner_lanes"] = (table, [top] * len(addends), top)
-    total, radius, step = params.n * params.N, params.radius, params.tau_hat_n
+    S, grams, addends, tops = params.inner_grams
+    params.__dict__["inner_grams"] = (S, grams, [tops[S]] * len(addends), tops)
+    total, radius = params.n * params.N, params.radius
     lengths = range(total - radius, total + radius + 1)
-    S, _, group_addends, _ = params.inner_grams
-    G = len(params.inner.words) * _lane_width(params.n)
     gc.collect()
     tracemalloc.start()
     try:
@@ -825,19 +869,16 @@ def test_a_full_feasibility_cache_on_sharp_stays_under_a_megabyte():
         assert sorted(tables) == list(lengths)
         mu_lo = params.window_grid[1]
         bound = 0
-        for M, (slots, gates) in tables.items():
+        for M, slots in tables.items():
             census = len(build_windows(params, M))
             assert sum(map(len, slots)) == census
             for mu, positions in enumerate(slots, mu_lo):
                 for lam, span in enumerate(positions):
                     assert span == feasible_jN(lam, mu, params, M), (M, lam, mu)
                     assert span is shared[span]
-            for mu, row in enumerate(gates, mu_lo):
-                assert all(gate is group_addends[mu * step] or gate is shared[gate] for gate in row)
-            bound += 8 * (census + len(gates) * len(gates[0])) + 144 * len(gates) + 512
-        ranges = sum(isinstance(key, range) for key in shared)
-        bound += 256 * ranges + (len(shared) - ranges) * (S * G // 7 + 160)
-        del tables, shared, slots, gates, positions, span, row
+            bound += 8 * census + 64 * len(slots) + 512
+        bound += 256 * len(shared)
+        del tables, shared, slots, positions, span
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
         del params.__dict__["length_tables"]
@@ -851,60 +892,26 @@ def test_a_full_feasibility_cache_on_sharp_stays_under_a_megabyte():
 
 @pytest.mark.parametrize(
     "instance",
-    [HOST_WIDE, SHARP, DESK],
-    ids=["host-wide", "sharp", "desk"],
-)
-def test_each_gate_group_gates_its_start_at_its_clipped_length(instance):
-    """The length table's gates hold, per recurrence, each start's addend at its clipped length.
-
-    At the lengths n*N - radius, n*N and n*N + radius, group s of
-    gates[mu - mu_lo][h] must be inner_lanes' addend for the window
-    length L = mu * step clipped at start phi = (h*S + s) * step,
-    min(L, max(0, M - phi)), and 0 for a group past lam_hi.  Only on
-    HOST_WIDE does a last start lie past the end of the word, at one of
-    the lengths.
-    """
-    params = fresh_params(instance)
-    S, G = params.inner_grams[0], len(params.inner.words) * _lane_width(params.n)
-    addends = params.inner_lanes[1]
-    total, radius = params.n * params.N, params.radius
-    past_the_end = 0
-    for M in (total - radius, total, total + radius):
-        list_decode_concat_detailed(params, word((1,) * M, params.q))
-        grid = build_windows(params, M)
-        step = grid.step
-        gates = params.length_tables[0][M][1]
-        assert len(gates) == grid.mu_hi - grid.mu_lo + 1
-        for mu, row in enumerate(gates, grid.mu_lo):
-            assert len(row) == -(-(grid.lam_hi + 1) // S)
-            for h, gate in enumerate(row):
-                for s, group in enumerate(_split_groups([gate], S, G)):
-                    lam = h * S + s
-                    phi = lam * step
-                    expected = addends[min(mu * step, max(0, M - phi))] if lam <= grid.lam_hi else 0
-                    assert group == expected, (M, mu, lam)
-        past_the_end += grid.lam_hi * step > M
-    assert bool(past_the_end) == (instance is HOST_WIDE)
-
-
-@pytest.mark.parametrize(
-    "instance",
     [DESK, SHARP, {**DESK, "q": 2**40}],
     ids=["desk", "sharp", "desk-huge-q"],
 )
 def test_inner_lanes_and_block_symbols_stay_under_their_byte_bounds(instance):
     """Each of the two per-params tables frees no more than its docstring's bound, and over half.
 
-    A full gc runs before tracing and around each reading, as in the
-    DESK recovery-table test.  At q = 2**40 the match dict holds one
-    entry per symbol of the inner words.
+    The inner lane tables are inner_grams.  A full gc runs before tracing
+    and around each reading, as in the DESK recovery-table test.  At
+    q = 2**40, S = 1 and the gram dict holds one entry per symbol of the
+    inner words; otherwise one per S-gram key but the all-sentinel one.
     """
     params = fresh_params(instance)
-    N, p = params.N, params.outer.p
-    G = len(params.inner.words) * _lane_width(params.n)
-    symbols = len({symbol for w in params.inner.words for symbol in w.symbols})
+    N, p, q = params.N, params.outer.p, params.q
+    G = len(params.inner) * _lane_width(params.n)
+    S = {2: 6, 4: 4}.get(q, 1)
+    symbols = len({symbol for w in params.inner for symbol in w.symbols})
+    g = symbols if S == 1 else (q ** (S + 1) - 1) // (q - 1) - 1
+    m = params.window_grid[2] * params.tau_hat_n + 1
     bounds = {
-        "inner_lanes": (symbols + params.window_grid[2] * params.tau_hat_n + 4) * (G // 7 + 64) + 512,
+        "inner_grams": (g + m + S + 3) * (S * G // 7 + 64) + g * (8 * S + 120) + 512,
         "block_symbols": N * (8 * p + 48) + 48,
     }
     freed = {}
@@ -930,7 +937,7 @@ def test_scan_batches_of_any_size_decode_alike(monkeypatch, instance):
     params = fresh_params(instance)
     received = [full_budget_channel(params, seed)[1] for seed in range(3)]
     expected = [list_decode_concat_detailed(params, r) for r in received]
-    table_bits = params.inner_grams[0] * len(params.inner.words) * _lane_width(params.n)
+    table_bits = params.inner_grams[0] * len(params.inner) * _lane_width(params.n)
     longest = params.window_grid[2] * params.tau_hat_n
     for recurrences in (1, 3):
         monkeypatch.setattr(concat, "_SCAN_BATCH_BITS", recurrences * (longest + 1) * table_bits)
@@ -973,7 +980,7 @@ def test_every_group_of_the_scan_counts_its_start_like_the_reference(monkeypatch
         return iter(rows[-1])
 
     monkeypatch.setattr(concat, "_lcs_steps", recorded)
-    n, words = params.n, [w.symbols for w in params.inner.words]
+    n, words = params.n, [w.symbols for w in params.inner]
     width = _lane_width(n)
     G = len(words) * width
     S = {2: 6, 4: 4}[params.q]
@@ -1021,9 +1028,9 @@ def test_the_gram_table_holds_every_reachable_gram_and_a_decode_adds_none(instan
     """
     params = fresh_params(instance)
     assert "inner_grams" not in params.__dict__
-    S, grams, addends, top = params.inner_grams
-    q, step, match = params.q, params.tau_hat_n, params.inner_lanes[0][0]
-    G = len(params.inner.words) * _lane_width(params.n)
+    S, grams, addends, tops = params.inner_grams
+    q, step, (match, _, ones, n) = params.q, params.tau_hat_n, one_copy_table(params)
+    G = len(params.inner) * _lane_width(n)
     reachable = {
         head + (q,) * (S - j) for j in range(S + 1) for head in itertools.product(range(q), repeat=j)
     }
@@ -1037,8 +1044,8 @@ def test_the_gram_table_holds_every_reachable_gram_and_a_decode_adds_none(instan
         keys = _gram_keys(received.symbols, q, step, S, len(received) + S * step)
         assert set(keys) <= reachable
     assert grams[0] == before
-    assert len(addends) == len(params.inner_lanes[1])
-    assert top == sum(params.inner_lanes[2] << s * G for s in range(S))
+    assert len(addends) == params.window_grid[2] * step + 1
+    assert tops == [sum(ones << n << s * G for s in range(k)) for k in range(S + 1)]
 
 
 def test_a_huge_alphabet_builds_a_gram_table_of_the_inner_symbols_only():
@@ -1052,7 +1059,7 @@ def test_a_huge_alphabet_builds_a_gram_table_of_the_inner_symbols_only():
     report = list_decode_concat_detailed(params, concat_encode_message(params, MESSAGE))
     assert time.perf_counter() - start < 1.0
     S, grams = params.inner_grams[:2]
-    symbols = {symbol for w in params.inner.words for symbol in w.symbols}
+    symbols = {symbol for w in params.inner for symbol in w.symbols}
     assert S == 1 and set(grams[0]) == {(symbol,) for symbol in symbols}
     assert concat_encode_message(params, MESSAGE) in report.codewords
 
@@ -1066,9 +1073,9 @@ def test_a_full_gram_table_on_sharp_stays_under_its_bound():
     147 KB.
     """
     params = fresh_params(SHARP)
-    table = params.inner_lanes[0]
+    table = one_copy_table(params)
     S = params.inner_grams[0]
-    G = len(params.inner.words) * _lane_width(params.n)
+    G = len(params.inner) * _lane_width(params.n)
     gc.collect()
     tracemalloc.start()
     try:
@@ -1091,24 +1098,26 @@ def test_a_full_gram_table_on_sharp_stays_under_its_bound():
 def test_inner_lanes_addends_match_the_lane_gate(instance):
     """Each window length's addend flags the lanes the gate flags at its budget.
 
-    For every length L from 0 to the longest window, mu_hi * step, and
-    for counters that put every value 0..n in every lane, the addend
-    inner_lanes keeps for L must flag the same lanes as the gate at
-    _lane_budget(inner_radius, n, L).
+    For every length L from 0 to the longest window, mu_hi * step, every
+    copy of the addend inner_grams keeps for L is the same, and for
+    counters that put every value 0..n in every lane, it must flag the
+    same lanes as the one-copy gate at _lane_budget(inner_radius, n, L).
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
         params = make_concat_params(**instance)
-    n, lanes = params.n, len(params.inner.words)
+    n, lanes = params.n, len(params.inner)
     width = _lane_width(n)
-    table, addends, top = params.inner_lanes
+    table = one_copy_table(params)
+    S, _, addends, tops = params.inner_grams
     assert len(addends) == params.window_grid[2] * params.tau_hat_n + 1
     for L, addend in enumerate(addends):
-        (gate,), gate_top = _lane_gate(table, [_lane_budget(params.inner_radius, n, L)])
-        assert top == gate_top
+        (gate,), top = _lane_gate(table, [_lane_budget(params.inner_radius, n, L)])
+        copies = _split_groups([addend], S, lanes * width)
+        assert copies == [copies[0]] * S and tops[1] == top
         for shift in range(n + 1):
             counts = sum((k + shift) % (n + 1) << k * width for k in range(lanes))
-            assert (counts + addend) & top == (counts + gate) & top, (L, shift)
+            assert (counts + copies[0]) & top == (counts + gate) & top, (L, shift)
 
 
 def test_position_lists_print_in_sorted_order(desk_fractional):
@@ -1198,45 +1207,64 @@ def test_params_json_roundtrip_on_every_instance(instance):
         params = make_concat_params(**instance)
         rebuilt = params_from_json_dict(json.loads(json.dumps(params_to_json_dict(params))))
     assert rebuilt == params
-    assert rebuilt.inner.words == params.inner.words
+    assert rebuilt.inner == params.inner
     assert rebuilt.outer == params.outer
 
 
+def report_digests(reports) -> tuple[str, str]:
+    """SHA-256 of the reports' outputs, and of their match counters, in order.
+
+    Outputs are the codewords, outer codewords, position lists, window
+    count and list mass; counters are inner_match_total and
+    max_inner_list.  A change to how windows are counted moves only the
+    second digest.
+    """
+    outputs, counters = hashlib.sha256(), hashlib.sha256()
+    for r in reports:
+        outputs.update(
+            repr((r.codewords, r.outer_codewords, r.position_lists, r.window_count, r.list_mass))
+            .encode()
+        )
+        counters.update(repr((r.inner_match_total, r.max_inner_list)).encode())
+    return outputs.hexdigest(), counters.hexdigest()
+
+
 def test_decode_reports_are_pinned(desk_params, host_n6, desk_fractional):
-    """One SHA-256 over the repr of 50 detailed decode reports.
+    """Two SHA-256 digests over 50 detailed decode reports.
 
     Covers seeds 0-11 at the full budget on four instances plus the two
     random-budget cases with colliding symbols; any change to the
-    decoder's output, its bookkeeping or how a report prints moves it.
+    decoder's output, its bookkeeping or how a report prints moves one.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sharp = make_concat_params(**SHARP)
-    digest = hashlib.sha256()
-    for params in (desk_params, sharp, host_n6, desk_fractional):
-        for seed in range(12):
-            _, received = full_budget_channel(params, seed)
-            digest.update(repr(list_decode_concat_detailed(params, received)).encode())
+    reports = [
+        list_decode_concat_detailed(params, full_budget_channel(params, seed)[1])
+        for params in (desk_params, sharp, host_n6, desk_fractional)
+        for seed in range(12)
+    ]
     for seed in COLLIDING_SEEDS:
         received = random_budget_channel(desk_fractional, seed)
-        digest.update(repr(list_decode_concat_detailed(desk_fractional, received)).encode())
-    assert digest.hexdigest() == (
-        "92323e9c67b096307c08cb6113d47c70a688d0f7a8b66c1fa9e94486cba58b65"
+        reports.append(list_decode_concat_detailed(desk_fractional, received))
+    assert report_digests(reports) == (
+        "527a6b1eaba3ca6217ad0d4cf5599c1843329693062c001b077e6c5555eb6b45",
+        "fe4c6a747c5c28992642cb3e6e4114ca7aca030821396e1277cef7c2e463fa3f",
     )
 
 
 def test_clipped_edge_decode_reports_are_pinned(desk_params, host_n6, desk_fractional):
-    """One SHA-256 over the repr of decode reports at the extreme lengths.
+    """Two SHA-256 digests over decode reports at the extreme lengths.
 
     Received words of length n*N - radius (deletions only) and
     n*N + radius (insertions only), three seeds each on four instances:
-    there the right-edge clipping of windows and the last grid start
-    lam_hi matter most.
+    there the windows running past the end of the word and the last
+    grid start lam_hi matter most.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sharp = make_concat_params(**SHARP)
-    digest = hashlib.sha256()
+    reports = []
     for params in (desk_params, desk_fractional, host_n6, sharp):
         total = params.n * params.N
         for seed in range(3):
@@ -1246,7 +1274,8 @@ def test_clipped_edge_decode_reports_are_pinned(desk_params, host_n6, desk_fract
             for n_ins, n_del in ((0, params.radius), (params.radius, 0)):
                 received, _ = random_channel(sent, n_ins, n_del, seed)
                 assert len(received) == total + n_ins - n_del
-                digest.update(repr(list_decode_concat_detailed(params, received)).encode())
-    assert digest.hexdigest() == (
-        "f815c540f96e3a6e4eb2c2f416ae312e74e4ab523927e30abcc69168fd6f3915"
+                reports.append(list_decode_concat_detailed(params, received))
+    assert report_digests(reports) == (
+        "4d3212cfac552f000c266a5bf418447a151108d68e0ade6652f5ea911b25c004",
+        "450e58b1737c3d19ad375fe8eae924483d3e3968ecee557018a0142f310d2392",
     )

@@ -18,6 +18,7 @@ from insdel.core import (
     _gram_keys,
     _gram_table,
     _lane_agreements,
+    _lane_blocks,
     _lane_budget,
     _lane_gate,
     _lane_width,
@@ -269,6 +270,18 @@ def test_flagged_lanes_and_pack_lanes_equal_reference_loops():
                         packed |= value << k * width
                     assert _pack_lanes(values, width) == packed == flags
     assert _pack_lanes([], 3) == 0
+
+
+def test_lane_blocks_keep_each_block_of_lanes_in_place():
+    """Block i holds exactly the bits of lanes i*lanes .. (i+1)*lanes - 1, checked bit by bit."""
+    rng = random.Random(13)
+    for width in (1, 3, 11):
+        for lanes, count in ((1, 1), (2, 3), (5, 4), (3, 0)):
+            value = rng.getrandbits(lanes * count * width + 5)
+            run = lanes * width
+            assert _lane_blocks(value, width, lanes, count) == [
+                sum(value & 1 << b for b in range(i * run, i * run + run)) for i in range(count)
+            ]
 
 
 @given(

@@ -102,10 +102,10 @@ def test_decoders_do_no_lane_arithmetic_of_their_own():
 
     A function of concat.py or decode.py that touches the LCS lanes (a
     core `_lane*`, `_lcs*`, `_packed*` or `_flagged*` helper, or
-    `inner_lanes`) shifts nothing, so no second gate, popcount or
+    `inner_grams`) shifts nothing, so no second gate, popcount or
     threshold can be written there.
     """
-    prefixes = ("_lane", "_lcs", "_packed", "_flagged", "inner_lanes")
+    prefixes = ("_lane", "_lcs", "_packed", "_flagged", "inner_grams")
     shifting = []
     for module in ("concat.py", "decode.py"):
         for name, fn in functions(PACKAGE / module):
